@@ -2,10 +2,12 @@
 
 The coordinated emulation runs the Fig. 3 decision procedure for every
 (module, session) pair at every node on the session's path.  This
-bench measures end-to-end sessions/sec of coordinated emulation with
-the scalar per-session path versus the NumPy batch fast path, asserts
-the two produce identical reports, and (when run as a script) writes
-``BENCH_dispatch.json`` at the repo root:
+bench times that dispatch stage per session (``should_analyze``)
+versus the NumPy batch path (``batch_decisions``), measures end-to-end
+coordinated emulation on the scalar oracle
+(``EmulationConfig(batch_engine=False)``) versus the default engine,
+asserts the two produce identical reports, and (when run as a script)
+writes ``BENCH_dispatch.json`` at the repo root:
 
     PYTHONPATH=src python benchmarks/bench_dispatch.py
 
@@ -29,6 +31,7 @@ from repro.nids.modules import STANDARD_MODULES
 from repro.obs import MetricsRegistry
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from repro.traffic.batch import SessionBatch
 
 
 def run_dispatch_benchmark(num_sessions: int, seed: int = 51) -> dict:
@@ -36,10 +39,10 @@ def run_dispatch_benchmark(num_sessions: int, seed: int = 51) -> dict:
 
     Two measurements: the dispatch stage itself (every node deciding
     its full trace, the loop the vectorization replaces) and the full
-    coordinated emulation end to end (where Amdahl's law caps the
-    gain — connection tracking and the cost model are unchanged).
-    The batch path must reproduce the scalar emulation reports exactly
-    — a speedup from different answers is a bug.
+    coordinated emulation end to end, scalar oracle against the
+    default engine.  The default engine must reproduce the scalar
+    emulation reports exactly — a speedup from different answers is a
+    bug.
     """
     topo = internet2().set_uniform_capacities(cpu=1.0, mem=1.0)
     paths = PathSet(topo)
@@ -69,7 +72,7 @@ def run_dispatch_benchmark(num_sessions: int, seed: int = 51) -> dict:
     dep = fresh()
     start = time.perf_counter()
     for node, trace in traces.items():
-        dep.dispatcher(node).sampled_modules_batch(trace)
+        dep.dispatcher(node).batch_decisions(SessionBatch(trace))
     batch_seconds = time.perf_counter() - start
 
     # -- full emulation end to end, plus report equivalence ----------
@@ -77,7 +80,7 @@ def run_dispatch_benchmark(num_sessions: int, seed: int = 51) -> dict:
 
     def timed_emulation(batch: bool, registry=None):
         dep = fresh()
-        config = EmulationConfig(batch_dispatch=batch)
+        config = EmulationConfig(batch_engine=batch)
         start = time.perf_counter()
         usage = run_emulation(traffic, dep, config=config, registry=registry)
         return time.perf_counter() - start, usage

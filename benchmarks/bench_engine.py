@@ -4,11 +4,10 @@
 but end-to-end emulation only ~2.7x, because per-session module
 processing and cost accounting in the engine still ran in Python.
 This bench measures the full vectorized engine
-(``EmulationConfig(batch_engine=True)``) against the scalar reference
-and the dispatch-only batch path, asserts all three produce
-bit-identical reports, records a sessions/sec trajectory across trace
-sizes, and — in script mode — demonstrates the streaming memory
-ceiling with subprocess peak-RSS measurements:
+(``EmulationConfig(batch_engine=True)``) against the scalar reference,
+asserts both produce bit-identical reports, records a sessions/sec
+trajectory across trace sizes, and — in script mode — demonstrates
+the streaming memory ceiling with subprocess peak-RSS measurements:
 
     PYTHONPATH=src python benchmarks/bench_engine.py
 
@@ -55,13 +54,11 @@ def _usage_digest(usage) -> str:
 
 
 def run_engine_benchmark(num_sessions: int, seed: int = 51) -> dict:
-    """Time the three engine paths on an Internet2 workload.
+    """Time the two engine paths on an Internet2 workload.
 
     scalar: per-session Python loops for dispatch and cost model.
-    dispatch-batch: vectorized Fig. 3 sampling, scalar cost model
-    (the pre-vectorization default — the Amdahl baseline).
     full-batch: vectorized sampling *and* cost model.
-    All three must produce bit-identical reports — a speedup from
+    Both must produce bit-identical reports — a speedup from
     different answers is a bug.  The streaming run re-generates the
     trace in chunks and must match the materialized report exactly.
     """
@@ -77,17 +74,11 @@ def run_engine_benchmark(num_sessions: int, seed: int = 51) -> dict:
         usage = run_emulation(traffic, dep, config=config)
         return time.perf_counter() - start, usage
 
-    scalar_seconds, scalar_usage = timed(
-        EmulationConfig(batch_engine=False, batch_dispatch=False)
-    )
-    dispatch_seconds, dispatch_usage = timed(
-        EmulationConfig(batch_engine=False, batch_dispatch=True)
-    )
+    scalar_seconds, scalar_usage = timed(EmulationConfig(batch_engine=False))
     batch_seconds, batch_usage = timed(EmulationConfig(batch_engine=True))
 
     digests = {
         "scalar": _usage_digest(scalar_usage),
-        "dispatch_batch": _usage_digest(dispatch_usage),
         "full_batch": _usage_digest(batch_usage),
     }
     identical = len(set(digests.values())) == 1
@@ -137,10 +128,8 @@ def run_engine_benchmark(num_sessions: int, seed: int = 51) -> dict:
         "node_session_dispatches": dispatches,
         "emulation_end_to_end": {
             "scalar_seconds": round(scalar_seconds, 4),
-            "dispatch_batch_seconds": round(dispatch_seconds, 4),
             "full_batch_seconds": round(batch_seconds, 4),
             "speedup_vs_scalar": round(scalar_seconds / batch_seconds, 2),
-            "speedup_vs_dispatch_batch": round(dispatch_seconds / batch_seconds, 2),
             "scalar_sessions_per_sec": round(num_sessions / scalar_seconds, 1),
             "full_batch_sessions_per_sec": round(num_sessions / batch_seconds, 1),
         },

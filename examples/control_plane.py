@@ -19,10 +19,14 @@ controller–agent runtime through that lifecycle:
 4. **Recovery** — the process restarts cold, heartbeats again, and a
    full re-solve folds it back in.
 
-The run finishes by asserting the scenario's acceptance criteria:
-coverage stays >= 99% outside transition windows, the failed node's
-ranges are reassigned within 2 epochs of detection, and delta pushes
-undercut full-manifest distribution on unchanged-majority epochs.
+The schedule is a fault plan (a ``shift`` event and a cold-restart
+``crash`` event) run by the one epoch driver, ``run_chaos``, so the
+invariant monitor judges it as it judges any chaos run.  The run
+finishes by asserting the monitor's verdict and the scenario's
+acceptance criteria: coverage stays >= 99% outside transition windows,
+the failed node's ranges are reassigned within 2 epochs of detection,
+and delta pushes undercut full-manifest distribution on
+unchanged-majority epochs.
 
 Run:  python examples/control_plane.py [epochs]
 """
@@ -32,7 +36,8 @@ import sys
 from repro.control import (
     COVERAGE_FLOOR,
     REDISTRIBUTION_DEADLINE_EPOCHS,
-    run_scenario,
+    run_chaos,
+    scripted_violations,
     standard_scenario,
 )
 
@@ -49,7 +54,7 @@ def main() -> None:
         epochs=epochs,
         base_sessions=900,
     )
-    result = run_scenario(config)
+    result = run_chaos(config)
 
     print(
         f"coordination plane on {config.topology}: {config.epochs} epochs"
@@ -59,7 +64,7 @@ def main() -> None:
         f"{'epoch':>5} {'event':<10} {'pushes':>7} {'push B':>7}"
         f" {'full-eq B':>9} {'coverage':>8}  notes"
     )
-    for r in result.records:
+    for r in result.epoch_records:
         notes = []
         if r.failed_nodes:
             notes.append("down:" + ",".join(r.failed_nodes))
@@ -91,14 +96,14 @@ def main() -> None:
     )
 
     # --- acceptance criteria --------------------------------------------
-    violations = result.check_acceptance()
+    violations = result.check_acceptance() + scripted_violations(result)
     assert not violations, violations
-    steady = [r for r in result.records if not r.in_transition]
+    steady = [r for r in result.epoch_records if not r.in_transition]
     assert steady and all(r.coverage >= COVERAGE_FLOOR for r in steady)
     assert redistributed - detected <= REDISTRIBUTION_DEADLINE_EPOCHS
     delta_epochs = [
         r
-        for r in result.records
+        for r in result.epoch_records
         if r.resolved in ("drift", "periodic", "failure")
         and r.unchanged_entry_fraction >= 0.5
         and r.push_bytes > 0

@@ -3,7 +3,7 @@
 Three subcommands, shared by ``repro analysis ...`` and
 ``python -m repro.analysis ...``:
 
-* ``lint`` — run the REP001-REP006 AST rules over source trees;
+* ``lint`` — run the REP001-REP005 AST rules over source trees;
 * ``flow`` — run the cross-module determinism / spawn-safety /
   protocol-conformance flow pass (REP201-REP206) over a package;
 * ``verify`` — statically verify planning artifacts (manifest sets,

@@ -1,4 +1,4 @@
-"""The domain lint rules (REP001-REP006).
+"""The domain lint rules (REP001-REP005).
 
 Each rule encodes an invariant this reproduction has been burned by —
 or would be, the next time someone edits a boundary comparison, an
@@ -11,7 +11,6 @@ REP002    unseeded ``random`` / ``np.random`` global-state draws
 REP003    ``__all__`` facade drift (unresolvable or unexported names)
 REP004    metric-name drift vs. ``docs/observability.md``
 REP005    mutable default arguments
-REP006    deprecated emulation entrypoints / legacy keyword shims
 ========  ==========================================================
 
 Suppress a deliberate exception with ``# repnoqa: REPnnn`` on the
@@ -519,87 +518,6 @@ class MutableDefaultArgument(Rule):
         )
 
 
-#: Emulation entrypoints kept only as deprecated wrappers around
-#: :func:`repro.nids.run_emulation`.
-_DEPRECATED_ENTRYPOINTS = frozenset(
-    {
-        "emulate_edge",
-        "emulate_coordinated",
-        "emulate_edge_stream",
-        "emulate_coordinated_stream",
-    }
-)
-
-#: Callables still accepting legacy bare-keyword shims, and the shim
-#: keywords themselves.  ``EmulationConfig(...)`` fields of the same
-#: names are the supported spelling and are not flagged.
-_LEGACY_SHIM_KEYWORDS: Dict[str, frozenset] = {
-    "BroInstance": frozenset(
-        {"cost_model", "run_detectors", "fine_grained", "batch_dispatch"}
-    ),
-    "compare_deployments": frozenset({"cost_model"}),
-}
-
-
-class DeprecatedEmulationAPI(Rule):
-    """REP006: deprecated emulation entrypoints and keyword shims.
-
-    The four ``emulate_*`` names survive only as
-    :class:`DeprecationWarning`-emitting wrappers around
-    :func:`repro.nids.run_emulation`, and the bare keywords they (and
-    :class:`~repro.nids.engine.BroInstance` /
-    :func:`~repro.nids.emulation.compare_deployments`) still accept are
-    shims around :class:`~repro.nids.engine.EmulationConfig`.  In-repo
-    code must use the new surface so the wrappers can eventually be
-    deleted without a migration sweep; suppress with
-    ``# repnoqa: REP006`` only where the deprecation path itself is
-    under test.
-    """
-
-    rule_id = "REP006"
-    description = "deprecated emulation entrypoint/shim; use run_emulation + config="
-
-    def visit_file(self, ctx: FileContext) -> Iterable[Violation]:
-        aliases = UnseededRandomness._module_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            resolved = UnseededRandomness._resolve(dotted, aliases)
-            tail = resolved.rsplit(".", 1)[-1]
-            if tail in _DEPRECATED_ENTRYPOINTS:
-                yield Violation(
-                    rule_id=self.rule_id,
-                    path=ctx.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"`{tail}()` is a deprecated wrapper; call"
-                        " run_emulation(traffic, modules_or_deployment,"
-                        " config=...) instead"
-                    ),
-                )
-                continue
-            shim_keywords = _LEGACY_SHIM_KEYWORDS.get(tail)
-            if not shim_keywords:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg in shim_keywords:
-                    yield Violation(
-                        rule_id=self.rule_id,
-                        path=ctx.path,
-                        line=keyword.value.lineno,
-                        col=keyword.value.col_offset,
-                        message=(
-                            f"legacy keyword {keyword.arg!r} on {tail}() is a"
-                            " deprecated shim; pass"
-                            f" config=EmulationConfig({keyword.arg}=...)"
-                        ),
-                    )
-
-
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule, REP001 first."""
     return [
@@ -608,7 +526,6 @@ def default_rules() -> List[Rule]:
         FacadeDrift(),
         MetricNameDrift(),
         MutableDefaultArgument(),
-        DeprecatedEmulationAPI(),
     ]
 
 

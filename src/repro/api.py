@@ -2,10 +2,8 @@
 
 ``repro.api`` is the supported surface for programmatic users: one
 flat namespace re-exporting the blessed entry points of each
-subsystem.  Anything importable from here follows the deprecation
-policy (old keyword shims emit :class:`DeprecationWarning` for at
-least one release before removal); internal module paths may move
-without notice.
+subsystem.  Anything importable from here is the supported surface;
+internal module paths may move without notice.
 
 The facade groups into five areas:
 
@@ -18,11 +16,12 @@ The facade groups into five areas:
   (edge-only when handed module specs, coordinated when handed an
   :class:`NIDSDeployment`), configured by :class:`EmulationConfig`
   with an :class:`ExecutionPolicy` (inline | streamed | sharded),
-  plus :func:`compare_deployments` and :class:`BroMode`; the old
-  ``emulate_edge`` / ``emulate_coordinated`` (and ``*_stream``) names
-  remain as deprecated wrappers;
-* **coordination plane** — :func:`run_scenario`,
-  :class:`ScenarioConfig`, :func:`standard_scenario`;
+  plus :func:`compare_deployments` and :class:`BroMode`;
+* **coordination plane** — :func:`run_chaos` (the one epoch driver)
+  over a :class:`ChaosConfig`, whose fault plan comes from
+  :func:`build_plan` or, for the scripted shift / failure / recovery
+  schedule, :func:`standard_scenario`; :func:`scripted_violations`
+  adds the scripted acceptance criteria to the monitor's verdict;
 * **telemetry** — :class:`MetricsRegistry`, :data:`NULL_REGISTRY`,
   :func:`use_registry` (see ``docs/observability.md``);
 * **reporting** — the :class:`Report` classes shared by the figure
@@ -74,10 +73,6 @@ from .nids import (
     ExecutionPolicy,
     Traffic,
     compare_deployments,
-    emulate_coordinated,
-    emulate_coordinated_stream,
-    emulate_edge,
-    emulate_edge_stream,
     run_emulation,
 )
 
@@ -87,11 +82,9 @@ from .control import (
     ChaosResult,
     HACluster,
     HAConfig,
-    ScenarioConfig,
-    ScenarioResult,
     build_plan,
     run_chaos,
-    run_scenario,
+    scripted_violations,
     standard_scenario,
 )
 
@@ -157,21 +150,15 @@ __all__ = [
     "ExecutionPolicy",
     "Traffic",
     "compare_deployments",
-    "emulate_coordinated",
-    "emulate_coordinated_stream",
-    "emulate_edge",
-    "emulate_edge_stream",
     "run_emulation",
     # coordination plane
     "ChaosConfig",
     "ChaosResult",
     "HACluster",
     "HAConfig",
-    "ScenarioConfig",
-    "ScenarioResult",
     "build_plan",
     "run_chaos",
-    "run_scenario",
+    "scripted_violations",
     "standard_scenario",
     # scenario sweeps
     "SweepCell",

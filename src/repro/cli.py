@@ -17,7 +17,7 @@ Gives operators the paper's workflow without writing Python:
   scenario grid across worker processes with a content-addressed
   artifact cache, and consolidate one deterministic report;
 * ``analysis lint`` / ``analysis verify`` — domain static analysis:
-  AST lint rules (REP001-REP006) and offline verification of planning
+  AST lint rules (REP001-REP005) and offline verification of planning
   artifacts against the deployment invariants (REP101-REP108);
 * ``figures`` — write per-figure CSV artifacts.
 
@@ -51,17 +51,10 @@ from .nips.rules import MatchRateMatrix, unit_rules
 from .topology.datasets import by_label
 from .topology.routing import PathSet
 from .traffic.generator import GeneratorConfig, TrafficGenerator
-from .traffic.profiles import (
-    attack_heavy_profile,
-    mixed_profile,
-    web_heavy_profile,
-)
+from .traffic.profiles import PROFILES
 
-_PROFILES = {
-    "mixed": mixed_profile,
-    "web-heavy": web_heavy_profile,
-    "attack-heavy": attack_heavy_profile,
-}
+#: Profile factories under their CLI spellings (``web-heavy``, ...).
+_PROFILES = {name.replace("_", "-"): factory for name, factory in PROFILES.items()}
 
 
 def _build_world(args):
@@ -226,9 +219,33 @@ def cmd_online(args) -> int:
     return 0
 
 
+def _metrics_registry(args):
+    """A live registry when ``--metrics-out`` is given, else ``None``."""
+    if not args.metrics_out:
+        return None
+    from .obs import MetricsRegistry
+
+    return MetricsRegistry()
+
+
+def _write_metrics(registry, path: str) -> None:
+    """Write the snapshot to *path* (Prometheus text for ``.prom``)."""
+    from .reporting import MetricsSnapshotReport
+
+    fmt = "prom" if path.endswith(".prom") else "json"
+    with open(path, "w") as stream:
+        MetricsSnapshotReport(registry).write(stream, fmt=fmt)
+    print(f"wrote telemetry snapshot ({fmt}) to {path}")
+
+
 def cmd_control_run(args) -> int:
     """Handle ``control run``: scripted coordination-plane scenario."""
-    from .control import ScenarioConfig, run_scenario, standard_scenario
+    from .control import (
+        run_chaos,
+        scripted_config,
+        scripted_violations,
+        standard_scenario,
+    )
 
     common = dict(
         topology=args.topology,
@@ -242,23 +259,19 @@ def cmd_control_run(args) -> int:
         resolve_every=args.resolve_every,
         heartbeat_timeout=args.heartbeat_timeout,
     )
-    if args.no_events:
-        config = ScenarioConfig(**common)
-    else:
-        config = standard_scenario(
-            shift_epoch=args.shift_epoch,
-            fail_epoch=args.fail_epoch,
-            recover_epoch=args.recover_epoch,
-            fail_node=args.fail_node,
-            **common,
-        )
-    registry = None
-    if args.metrics_out:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = _metrics_registry(args)
     try:
-        result = run_scenario(config, registry=registry)
+        if args.no_events:
+            config = scripted_config(**common)
+        else:
+            config = standard_scenario(
+                shift_epoch=args.shift_epoch,
+                fail_epoch=args.fail_epoch,
+                recover_epoch=args.recover_epoch,
+                fail_node=args.fail_node,
+                **common,
+            )
+        result = run_chaos(config, registry=registry)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -271,7 +284,8 @@ def cmd_control_run(args) -> int:
         f"{'epoch':>5} {'resolved':<10} {'push B':>8} {'full-eq B':>9}"
         f" {'coverage':>8} {'lag':>6}  flags"
     )
-    for r in result.records:
+    records = result.epoch_records
+    for r in records:
         flags = []
         if r.failed_nodes:
             flags.append("failed=" + ",".join(r.failed_nodes))
@@ -302,16 +316,11 @@ def cmd_control_run(args) -> int:
         from . import reporting
 
         with open(args.output, "w", newline="") as stream:
-            reporting.control_epochs_csv(result.records, stream)
+            reporting.control_epochs_csv(records, stream)
         print(f"wrote per-epoch records to {args.output}")
     if registry is not None:
-        from .reporting import MetricsSnapshotReport
-
-        fmt = "prom" if args.metrics_out.endswith(".prom") else "json"
-        with open(args.metrics_out, "w") as stream:
-            MetricsSnapshotReport(registry).write(stream, fmt=fmt)
-        print(f"wrote telemetry snapshot ({fmt}) to {args.metrics_out}")
-    violations = result.check_acceptance()
+        _write_metrics(registry, args.metrics_out)
+    violations = result.check_acceptance() + scripted_violations(result)
     if violations:
         print("ACCEPTANCE VIOLATIONS:")
         for violation in violations:
@@ -348,11 +357,7 @@ def cmd_control_chaos(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    registry = None
-    if args.metrics_out:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = _metrics_registry(args)
     result = run_chaos(config, registry=registry)
     print(
         f"chaos plan {plan.name!r} on {args.topology}: {config.epochs}"
@@ -408,12 +413,7 @@ def cmd_control_chaos(args) -> int:
             f" depositions={summary['depositions']}"
         )
     if registry is not None:
-        from .reporting import MetricsSnapshotReport
-
-        fmt = "prom" if args.metrics_out.endswith(".prom") else "json"
-        with open(args.metrics_out, "w") as stream:
-            MetricsSnapshotReport(registry).write(stream, fmt=fmt)
-        print(f"wrote telemetry snapshot ({fmt}) to {args.metrics_out}")
+        _write_metrics(registry, args.metrics_out)
     violations = result.check_acceptance()
     if violations:
         print("INVARIANT VIOLATIONS:")

@@ -5,17 +5,18 @@ The offline pipeline (measure → estimate → LP → manifests) answers
 continuously: an operations-center :class:`Controller` on an epoch
 clock, per-node :class:`Agent` endpoints, a lossy simulated
 :class:`Bus` between them, epoch-versioned delta distribution,
-heartbeat-driven failure detection with targeted redistribution,
-scripted end-to-end scenarios, a seeded chaos harness
-(:mod:`repro.control.chaos`) that injects adversarial fault plans and
-asserts the graceful-degradation invariants per epoch, and controller
-HA (:mod:`repro.control.ha`): term-fenced standby replicas with
-deterministic election and split-brain-proof epoch-log handoff.
+heartbeat-driven failure detection with targeted redistribution, one
+epoch driver (:func:`run_chaos`) that runs scripted schedules
+(:mod:`repro.control.scenarios`) and seeded adversarial fault plans
+alike and asserts the graceful-degradation invariants per epoch, and
+controller HA (:mod:`repro.control.ha`): term-fenced standby replicas
+with deterministic election and split-brain-proof epoch-log handoff.
 """
 
 from .agent import Agent, AgentConfig, AgentStats
 from .bus import Bus, BusConfig, BusStats, Message
 from .chaos import (
+    COVERAGE_FLOOR,
     ChaosBus,
     ChaosConfig,
     ChaosEpochRecord,
@@ -52,15 +53,13 @@ from .failure import (
     repair_manifests,
 )
 from .scenarios import (
-    COVERAGE_FLOOR,
-    PROFILES,
     REDISTRIBUTION_DEADLINE_EPOCHS,
-    ScenarioConfig,
-    ScenarioEvent,
-    ScenarioResult,
-    run_scenario,
+    scripted_config,
+    scripted_events,
+    scripted_violations,
     standard_scenario,
 )
+from ..traffic.profiles import PROFILES
 
 __all__ = [
     "Agent",
@@ -97,9 +96,6 @@ __all__ = [
     "PushState",
     "REDISTRIBUTION_DEADLINE_EPOCHS",
     "RepairResult",
-    "ScenarioConfig",
-    "ScenarioEvent",
-    "ScenarioResult",
     "build_plan",
     "coverage_metrics",
     "merge_reports",
@@ -107,7 +103,9 @@ __all__ = [
     "repair_manifests",
     "replica_name",
     "run_chaos",
-    "run_scenario",
+    "scripted_config",
+    "scripted_events",
+    "scripted_violations",
     "stabilize_manifests",
     "standard_scenario",
     "union_length",

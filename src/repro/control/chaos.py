@@ -1,7 +1,10 @@
-"""Chaos injection and invariant monitoring for the coordination plane.
+"""The coordination plane's one epoch driver, with chaos injection and
+invariant monitoring.
 
-The scripted scenarios (:mod:`repro.control.scenarios`) exercise clean
-crashes and uniform message loss.  This module subjects the same
+:func:`run_chaos` runs every coordination-plane experiment: the
+scripted steady → shift → failure → recovery schedules
+(:mod:`repro.control.scenarios`) are fault plans like any other, so
+every run is judged by the same monitor.  This module subjects the
 controller–agent runtime to *adversarial* fault schedules — the kind
 distributed-NIDS deployments actually face — and proves, per epoch,
 that graceful degradation holds the paper's coverage guarantees
@@ -10,11 +13,13 @@ that graceful degradation holds the paper's coverage guarantees
 * a deterministic, seeded :class:`FaultPlan` of timed
   :class:`FaultEvent` s: asymmetric partitions, loss and delay bursts,
   message duplication, reordering beyond channel jitter, agent
-  crash/warm-restart-with-stale-epoch, controller outage windows;
+  crash/warm-restart-with-stale-epoch, controller outage windows, and
+  traffic-profile shifts;
 * :class:`ChaosBus`, a :class:`~repro.control.bus.Bus` subclass that
   applies the plan's channel faults to every admitted message via the
   ``_admit`` extension point (process faults — crashes, controller
-  outages — are applied by the runner);
+  outages — are applied by the runner); an empty plan admits exactly
+  what the base bus admits and draws nothing from the chaos RNG;
 * :class:`InvariantMonitor`, which checks after every epoch that
   (1) no session whose edge-only baseline would cover it goes
   unanalyzed outside a declared transition window, (2) no stale-epoch
@@ -25,9 +30,23 @@ that graceful degradation holds the paper's coverage guarantees
   term at every epoch boundary and no leader ignores higher-term
   evidence, and (5) no agent's applied ``(term, version)`` pair ever
   regresses across a takeover;
-* :func:`run_chaos`, the epoch driver scoring a run the way
-  :func:`~repro.control.scenarios.run_scenario` does, exposed as
-  ``repro control chaos``.
+* :func:`run_chaos`, the epoch driver, exposed as ``repro control
+  run`` (scripted plans) and ``repro control chaos`` (fault plans).
+
+Each epoch is a four-beat discrete-event schedule::
+
+    t + 0.00   agents measure their ingress traffic, export NetFlow
+               reports, and heartbeat
+    t + 0.25   controller drains the bus, sweeps for missed heartbeats,
+               re-plans if warranted, pushes manifest (delta) updates
+    t + 0.50   agents apply updates (dual-manifest window) and ack
+    t + 0.75   controller collects acks and the epoch record closes
+
+Traffic is drawn from per-profile session *pools* with a volume-scaled
+prefix per epoch (:class:`~repro.traffic.dynamics.DiurnalBurstModel`),
+so steady-state epochs present near-identical unit sets — the regime
+in which delta distribution must win — while a profile shift presents
+a genuine drift for the controller to detect.
 
 All randomness is seeded (REP002): the same plan, seed, and topology
 replay the exact same fault schedule, so a CI failure is reproducible
@@ -40,7 +59,7 @@ import dataclasses
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.units import build_units, unit_key_for_session
@@ -52,28 +71,30 @@ from ..nids.modules.base import ModuleSpec
 from ..obs import MetricsRegistry, NULL_REGISTRY, use_registry
 from ..topology import PathSet, by_label
 from ..traffic.dynamics import DiurnalBurstModel
+from ..traffic.generator import GeneratorConfig, TrafficGenerator
+from ..traffic.profiles import PROFILES
 from ..traffic.session import Session
 from .agent import Agent, AgentConfig
 from .bus import Bus, BusConfig, BusStats, Message
 from .controller import Controller, ControllerConfig, ControllerStats
-from .epochs import EpochRecord, coverage_metrics
+from .epochs import EpochRecord, Ident, coverage_metrics, union_length
 from .ha import HACluster, HAConfig, base_identity, replica_name
-from .scenarios import (
-    COVERAGE_FLOOR,
-    ScenarioConfig,
-    session_pools,
-)
 
 #: Fault kinds the channel layer applies per admitted message.
 CHANNEL_FAULTS = ("partition", "loss_burst", "delay_burst", "duplicate", "reorder")
 #: Fault kinds the epoch runner applies to processes.
 PROCESS_FAULTS = ("crash", "controller_down")
-FAULT_KINDS = CHANNEL_FAULTS + PROCESS_FAULTS
+FAULT_KINDS = CHANNEL_FAULTS + PROCESS_FAULTS + ("shift",)
+
+#: Volume-weighted coverage required of every epoch outside a
+#: transition window; the monitor's pair-level floor uses the same
+#: tolerance.
+COVERAGE_FLOOR = 0.99
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timed fault, active over ``[start, end)`` scenario seconds.
+    """One timed fault, active over ``[start, end)`` run seconds.
 
     Field use by kind:
 
@@ -91,6 +112,9 @@ class FaultEvent:
       epoch beats and messages addressed to it (either plane) are
       lost.  Under HA, *node* names the specific replica held down
       (``None`` = every replica).
+    * ``shift`` — traffic is drawn from *profile* instead of the run's
+      base profile while the window is open.  A shift is workload, not
+      a fault: :attr:`FaultPlan.heal_time` ignores it.
     """
 
     kind: str
@@ -102,6 +126,7 @@ class FaultEvent:
     rate: float = 0.0
     delay: float = 0.0
     warm: bool = False
+    profile: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -121,6 +146,10 @@ class FaultEvent:
             raise ValueError(f"{self.kind} fault needs rate > 0")
         if self.kind in ("delay_burst", "reorder") and self.delay <= 0:
             raise ValueError(f"{self.kind} fault needs delay > 0")
+        if self.kind == "shift" and self.profile not in PROFILES:
+            raise ValueError(
+                f"shift event needs a profile in {sorted(PROFILES)}"
+            )
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -156,7 +185,19 @@ class FaultPlan:
     @property
     def heal_time(self) -> float:
         """When the last fault window closes (0.0 for an empty plan)."""
-        return max((event.end for event in self.events), default=0.0)
+        return max(
+            (event.end for event in self.events if event.kind != "shift"),
+            default=0.0,
+        )
+
+    def profile_at(self, now: float, base: str) -> str:
+        """The traffic profile in force at *now*: the last open shift's
+        profile, else *base*."""
+        profile = base
+        for event in self.events:
+            if event.kind == "shift" and event.active(now):
+                profile = event.profile
+        return profile
 
     def controller_down(self, now: float, name: Optional[str] = None) -> bool:
         """Whether a controller process is held down at *now*.
@@ -592,7 +633,7 @@ class InvariantMonitor:
       past its lease: lease expired ⇒ the agent is degraded.
     * **reconvergence** — within ``reconverge_epochs`` of the plan's
       heal time there is an epoch with no degradation, no fencing, no
-      unsynced live node, and coverage at the scenario floor (and,
+      unsynced live node, and coverage at :data:`COVERAGE_FLOOR` (and,
       under HA, a settled replica set).
     * **leader-uniqueness** — at most one acting leader per epoch
       *term*: two alive replicas never serve in the same term, and no
@@ -654,7 +695,7 @@ class InvariantMonitor:
                     for agent in agent_list
                 ):
                     uncovered += 1
-        # Tolerance mirrors the scenario COVERAGE_FLOOR: sessions whose
+        # Tolerance mirrors COVERAGE_FLOOR: sessions whose
         # unit keys post-date the last re-plan are uncoverable by any
         # coordinated manifest until the next epoch's plan (planning
         # lag, not a fault) — while a real degradation failure uncovers
@@ -799,7 +840,13 @@ class InvariantMonitor:
 
 @dataclass
 class ChaosConfig:
-    """One chaos run: a scenario-shaped base plus a fault plan."""
+    """One coordination-plane run: a workload plus a fault plan.
+
+    The defaults are the chaos regime (leases on, bursty diurnal
+    traffic, no periodic re-solves);
+    :func:`~repro.control.scenarios.scripted_config` supplies the
+    scripted regime's.
+    """
 
     plan: FaultPlan
     topology: str = "Internet2"
@@ -815,8 +862,12 @@ class ChaosConfig:
     resolve_every: int = 0
     #: Epoch-lease TTL: over two epochs, so two consecutive lost
     #: renewal beats do not trigger spurious degradation, but a real
-    #: outage fences every agent well before the plan heals.
-    lease_ttl: float = 2.5
+    #: outage fences every agent well before the plan heals.  ``None``
+    #: runs the plane without leases (the scripted regime).
+    lease_ttl: Optional[float] = 2.5
+    #: Traffic dynamics (:class:`~repro.traffic.dynamics.DiurnalBurstModel`).
+    diurnal_amplitude: float = 0.3
+    burst_probability: float = 0.05
     #: Epochs allowed between the last fault healing and a settled,
     #: fully coordinated configuration.
     reconverge_epochs: int = 4
@@ -827,8 +878,8 @@ class ChaosConfig:
     replicas: int = 1
 
     def __post_init__(self) -> None:
-        if self.lease_ttl <= 0:
-            raise ValueError("chaos runs require a positive lease_ttl")
+        if self.lease_ttl is not None and self.lease_ttl <= 0:
+            raise ValueError("lease_ttl must be positive (or None)")
         if self.replicas < 1:
             raise ValueError("chaos runs need at least one controller replica")
         if self.epochs < self.plan.heal_time + 2:
@@ -869,6 +920,22 @@ class ChaosResult:
     #: :meth:`HACluster.summary` snapshot (``None`` in single-replica
     #: runs).
     ha_summary: Optional[dict] = None
+    #: Epoch at which the controller first marked each crashed node
+    #: failed.
+    detection_epoch: Dict[str, int] = field(default_factory=dict)
+    #: Epoch at which a crashed node's (repairable) hash ranges were
+    #: all observed re-applied on live survivors.
+    redistribution_epoch: Dict[str, int] = field(default_factory=dict)
+    #: Epoch at which a restarted node was converged back in.
+    reintegration_epoch: Dict[str, int] = field(default_factory=dict)
+    #: Hash-space mass that could not be reassigned (no live eligible
+    #: node), per crashed node — the paper's singleton-unit caveat.
+    orphaned_mass: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def epoch_records(self) -> List[EpochRecord]:
+        """The plane's per-epoch records, without the monitor's verdicts."""
+        return [chaos_record.record for chaos_record in self.records]
 
     def check_acceptance(self) -> List[str]:
         """Human-readable invariant violations (empty = pass)."""
@@ -897,6 +964,10 @@ class ChaosResult:
                 else None
             ),
             "ha_summary": self.ha_summary,
+            "detection_epoch": dict(self.detection_epoch),
+            "redistribution_epoch": dict(self.redistribution_epoch),
+            "reintegration_epoch": dict(self.reintegration_epoch),
+            "orphaned_mass": dict(self.orphaned_mass),
         }
 
     @classmethod
@@ -925,7 +996,74 @@ class ChaosResult:
                 else None
             ),
             ha_summary=data.get("ha_summary"),
+            detection_epoch=dict(data.get("detection_epoch", {})),
+            redistribution_epoch=dict(data.get("redistribution_epoch", {})),
+            reintegration_epoch=dict(data.get("reintegration_epoch", {})),
+            orphaned_mass=dict(data.get("orphaned_mass", {})),
         )
+
+
+def session_pools(
+    config: ChaosConfig,
+    topology,
+    paths,
+    pool_size: int,
+) -> Dict[str, List[Session]]:
+    """One session pool per profile the run can be in.
+
+    Epochs slice a volume-scaled prefix of the active pool, so the
+    steady-state unit set is stable across epochs (the regime where
+    manifest deltas must stay small) while still scaling with the
+    diurnal volume.
+    """
+    names = {config.profile}
+    names.update(e.profile for e in config.plan.events if e.kind == "shift")
+    pools: Dict[str, List[Session]] = {}
+    for offset, name in enumerate(sorted(names)):
+        generator = TrafficGenerator(
+            topology,
+            paths,
+            profile=PROFILES[name](),
+            config=GeneratorConfig(seed=config.seed + 101 * offset),
+        )
+        pools[name] = generator.generate(pool_size)
+    return pools
+
+
+def _clipped_union(ranges: Sequence[HashRange], piece: HashRange) -> float:
+    """Measure of ``union(ranges) ∩ piece``."""
+    clipped = [
+        HashRange(max(r.lo, piece.lo), min(r.hi, piece.hi))
+        for r in ranges
+        if r.hi > piece.lo and r.lo < piece.hi
+    ]
+    return union_length(clipped)
+
+
+def _ranges_reassigned(
+    snapshot: Dict[Ident, Tuple[HashRange, ...]],
+    agents: Dict[str, Agent],
+    failed_node: str,
+    skip: Set[Ident],
+) -> bool:
+    """Whether every repairable snapshot range is applied on a live
+    survivor's manifest (the ground truth: what the agents actually
+    run, not what the controller intends)."""
+    for ident, ranges in snapshot.items():
+        if ident in skip:
+            continue
+        class_name, key = ident
+        held: List[HashRange] = []
+        for node, agent in agents.items():
+            if node == failed_node or not agent.alive:
+                continue
+            held.extend(agent.manifest.ranges(class_name, key))
+        for piece in ranges:
+            if piece.empty:
+                continue
+            if _clipped_union(held, piece) < piece.length - 1e-9:
+                return False
+    return True
 
 
 def _edge_manifests(
@@ -1008,7 +1146,10 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
             modules,
             bus,
             controller_config,
-            HAConfig(replicas=replica_count, leader_lease=config.lease_ttl),
+            HAConfig(
+                replicas=replica_count,
+                leader_lease=config.lease_ttl or HAConfig.leader_lease,
+            ),
             registry=registry,
         )
         controller = cluster.authority
@@ -1036,19 +1177,13 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         )
 
     volume_model = DiurnalBurstModel(
-        base_sessions=config.base_sessions, seed=config.seed
+        base_sessions=config.base_sessions,
+        diurnal_amplitude=config.diurnal_amplitude,
+        burst_probability=config.burst_probability,
+        seed=config.seed,
     )
     volumes = volume_model.series(config.epochs)
-    pools = session_pools(
-        ScenarioConfig(
-            topology=config.topology,
-            profile=config.profile,
-            seed=config.seed,
-        ),
-        topology,
-        paths,
-        max(volumes),
-    )
+    pools = session_pools(config, topology, paths, max(volumes))
 
     crashes_by_epoch: Dict[int, List[FaultEvent]] = defaultdict(list)
     restarts_by_epoch: Dict[int, List[FaultEvent]] = defaultdict(list)
@@ -1058,19 +1193,29 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
 
     monitor = InvariantMonitor(modules, registry=registry)
     result = ChaosResult(config=config, records=[], violations=monitor.violations)
+    #: Pre-crash manifest entries per crashed node, awaiting reassignment.
+    pending_redistribution: Dict[str, Dict[Ident, Tuple[HashRange, ...]]] = {}
+    pending_recovery: Set[str] = set()
 
     for epoch in range(config.epochs):
         t = float(epoch)
         for event in crashes_by_epoch.get(epoch, []):
-            agents[event.node].crash()
+            agent = agents[event.node]
+            pending_redistribution[event.node] = dict(agent.manifest.entries)
+            agent.crash()
         for event in restarts_by_epoch.get(epoch, []):
             agents[event.node].recover(warm=event.warm)
             monitor.note_restart(event.node)
+            pending_recovery.add(event.node)
 
-        sessions = pools[config.profile][: volumes[epoch]]
+        profile = config.plan.profile_at(t, config.profile)
+        sessions = pools[profile][: volumes[epoch]]
         by_ingress: Dict[str, List[Session]] = defaultdict(list)
         for session in sessions:
             by_ingress[session.ingress].append(session)
+
+        bus_sent_before = bus.stats.sent
+        bus_bytes_before = bus.stats.bytes_sent
 
         for node, agent in agents.items():
             agent.step(t, sessions=by_ingress.get(node, []))
@@ -1097,11 +1242,7 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
                 and record is not None
             )
             if record is None:
-                record = EpochRecord(epoch=epoch, time=t)
-                record.failed_nodes = tuple(sorted(controller.monitor.failed))
-                record.fenced_nodes = tuple(sorted(controller.fenced))
-                record.config_version = controller.version
-                record.converged = not controller.unsynced_live_nodes()
+                record = _idle_record(epoch, t, controller)
         else:
             controller_up = not (
                 config.plan.controller_down(t + 0.25)
@@ -1114,12 +1255,10 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
             if controller_up:
                 record = controller.finish_epoch(t + 0.75)
             else:
-                record = EpochRecord(epoch=epoch, time=t)
-                record.failed_nodes = tuple(sorted(controller.monitor.failed))
-                record.fenced_nodes = tuple(sorted(controller.fenced))
-                record.config_version = controller.version
-                record.converged = not controller.unsynced_live_nodes()
+                record = _idle_record(epoch, t, controller)
         record.sessions = len(sessions)
+        record.messages_sent = bus.stats.sent - bus_sent_before
+        record.bytes_sent = bus.stats.bytes_sent - bus_bytes_before
 
         # Ground-truth coverage over what agents actually *serve*:
         # degraded agents answer edge-only, not from their manifest.
@@ -1144,22 +1283,28 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         if degraded and result.first_degraded_epoch is None:
             result.first_degraded_epoch = epoch
 
-        # Transition windows excluded from the coverage-floor check
-        # (docs/fault_model.md): a configuration still propagating, a
-        # crashed node's ranges not yet repaired away, an expired agent
-        # the controller has not yet fenced, or an outage epoch where
-        # agents are (by design) serving lease-sanctioned *stale*
-        # configuration — the controller cannot react to traffic drift
-        # while down, and that bounded staleness is exactly what the
-        # lease TTL prices in.  Once the leases expire, the whole plane
-        # degrades atomically (absolute expiry) and the floor IS
-        # asserted on every all-degraded outage epoch.
+        # A transition window is any epoch where the configuration is
+        # still propagating (push unacked) or a crashed node's ranges
+        # have not yet been repaired away (including the detection gap
+        # between the crash and the heartbeat timeout).
         failure_unrepaired = any(
             not agent.alive
             and controller.manifests.get(node) is not None
             and controller.manifests[node].entries
             for node, agent in agents.items()
         )
+        record.in_transition = (not record.converged) or failure_unrepaired
+
+        # The monitor excludes a wider window from the coverage-floor
+        # check (docs/fault_model.md): on top of the transition window,
+        # an expired agent the controller has not yet fenced, or an
+        # outage epoch where
+        # agents are (by design) serving lease-sanctioned *stale*
+        # configuration — the controller cannot react to traffic drift
+        # while down, and that bounded staleness is exactly what the
+        # lease TTL prices in.  Once the leases expire, the whole plane
+        # degrades atomically (absolute expiry) and the floor IS
+        # asserted on every all-degraded outage epoch.
         fence_pending = any(
             node not in controller.fenced
             for node in degraded
@@ -1182,14 +1327,12 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         # first re-plan lands; that staleness is handoff transition.
         handoff_pending = cluster is not None and cluster.handoff_stale(epoch)
         excluded = (
-            (not record.converged)
-            or failure_unrepaired
+            record.in_transition
             or fence_pending
             or mixed_versions
             or stale_leased
             or handoff_pending
         )
-        record.in_transition = excluded
 
         baseline, uncovered = monitor.coverage_floor(
             epoch, sessions, agents, excluded
@@ -1232,6 +1375,11 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         ):
             result.reconverged_epoch = epoch
 
+        _track_crashes(
+            result, epoch, record, controller, agents,
+            pending_redistribution, pending_recovery,
+        )
+
     heal_epoch = int(math.ceil(config.plan.heal_time))
     monitor.reconvergence(result.records, heal_epoch, config.reconverge_epochs)
 
@@ -1239,3 +1387,53 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
     result.controller_stats = controller.stats
     result.ha_summary = cluster.summary() if cluster is not None else None
     return result
+
+
+def _idle_record(epoch: int, t: float, controller: Controller) -> EpochRecord:
+    """The record of an epoch no controller closed: the last known
+    failure, fencing, and convergence state, with nothing pushed."""
+    record = EpochRecord(epoch=epoch, time=t)
+    record.failed_nodes = tuple(sorted(controller.monitor.failed))
+    record.fenced_nodes = tuple(sorted(controller.fenced))
+    record.config_version = controller.version
+    record.converged = not controller.unsynced_live_nodes()
+    return record
+
+
+def _track_crashes(
+    result: ChaosResult,
+    epoch: int,
+    record: EpochRecord,
+    controller: Controller,
+    agents: Dict[str, Agent],
+    pending_redistribution: Dict[str, Dict[Ident, Tuple[HashRange, ...]]],
+    pending_recovery: Set[str],
+) -> None:
+    """Record when each crashed node was detected, had its ranges
+    redistributed, and was reintegrated after its restart."""
+    for node in list(pending_redistribution):
+        if node in record.failed_nodes:
+            result.detection_epoch.setdefault(node, epoch)
+        if node not in result.detection_epoch:
+            continue  # controller has not noticed yet
+        repair = controller.last_repair
+        skip: Set[Ident] = set()
+        if repair is not None:
+            skip = {ident for ident, _mass in repair.orphaned}
+            result.orphaned_mass[node] = sum(
+                mass for _ident, mass in repair.orphaned
+            )
+        if _ranges_reassigned(
+            pending_redistribution[node], agents, node, skip
+        ):
+            result.redistribution_epoch[node] = epoch
+            del pending_redistribution[node]
+
+    for node in sorted(pending_recovery):
+        if (
+            agents[node].alive
+            and node not in controller.monitor.failed
+            and node not in controller.unsynced_live_nodes()
+        ):
+            result.reintegration_epoch[node] = epoch
+            pending_recovery.discard(node)

@@ -1,156 +1,73 @@
-"""Scripted end-to-end coordination-plane scenarios.
+"""Scripted coordination-plane schedules and their acceptance criteria.
 
-:func:`run_scenario` drives a full controller–agent deployment through
-a schedule of epochs with injected events — traffic shifts, NIDS
-process crashes, recoveries — and scores the outcome against the
-paper's operational requirements: the live network stays covered, a
-failed node's responsibilities move to on-path survivors within a
-bounded number of epochs, and steady-state configuration pushes cost
+A scripted run is a fault plan like any other, driven by
+:func:`~repro.control.chaos.run_chaos` and judged by the same
+invariant monitor: a traffic-profile switch is a ``shift`` event and
+a NIDS process crash with a later recovery is a ``crash`` event with a
+cold restart.  On top of the monitor's verdict,
+:func:`scripted_violations` scores the run against the paper's
+operational requirements: the live network stays covered, a failed
+node's responsibilities move to on-path survivors within a bounded
+number of epochs, and steady-state configuration pushes cost
 delta-sized, not full-manifest-sized, bytes.
-
-Each epoch is a four-beat discrete-event schedule::
-
-    t + 0.00   agents measure their ingress traffic, export NetFlow
-               reports, and heartbeat
-    t + 0.25   controller drains the bus, sweeps for missed heartbeats,
-               re-plans if warranted, pushes manifest (delta) updates
-    t + 0.50   agents apply updates (dual-manifest window) and ack
-    t + 0.75   controller collects acks and the epoch record closes
-
-Traffic is drawn from per-profile session *pools* with a volume-scaled
-prefix per epoch (:class:`~repro.traffic.dynamics.DiurnalBurstModel`),
-so steady-state epochs present near-identical unit sets — the regime
-in which delta distribution must win — while a profile switch presents
-a genuine drift for the controller to detect.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
-from ..core.units import build_units
-from ..hashing.ranges import HashRange
-from ..measurement.flows import FlowExporter
-from ..nids.modules import STANDARD_MODULES
-from ..obs import MetricsRegistry, NULL_REGISTRY, use_registry
-from ..topology import PathSet, by_label
-from ..traffic.dynamics import DiurnalBurstModel
-from ..traffic.generator import GeneratorConfig, TrafficGenerator
-from ..traffic.profiles import (
-    attack_heavy_profile,
-    mixed_profile,
-    web_heavy_profile,
-)
-from ..traffic.session import Session
-from .agent import Agent, AgentConfig
-from .bus import Bus, BusConfig, BusStats
-from .controller import Controller, ControllerConfig, ControllerStats
-from .epochs import (
-    EpochRecord,
-    Ident,
-    coverage_metrics,
-    union_length,
-)
+from .chaos import COVERAGE_FLOOR, ChaosConfig, ChaosResult, FaultEvent, FaultPlan
 
-PROFILES: Dict[str, Callable] = {
-    "mixed": mixed_profile,
-    "web_heavy": web_heavy_profile,
-    "attack_heavy": attack_heavy_profile,
-}
-
-#: Acceptance threshold: volume-weighted coverage required of every
-#: epoch that is not part of a transition window.
-COVERAGE_FLOOR = 0.99
 #: Acceptance threshold: epochs allowed between failure detection and
 #: full reassignment of the failed node's hash ranges.
 REDISTRIBUTION_DEADLINE_EPOCHS = 2
 
-
-@dataclass(frozen=True)
-class ScenarioEvent:
-    """One scripted perturbation, applied at the start of *epoch*."""
-
-    epoch: int
-    kind: str  # "fail" | "recover" | "shift"
-    node: Optional[str] = None  # for fail / recover
-    profile: Optional[str] = None  # for shift
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fail", "recover", "shift"):
-            raise ValueError(f"unknown event kind: {self.kind!r}")
-        if self.kind in ("fail", "recover") and not self.node:
-            raise ValueError(f"{self.kind} event needs a node")
-        if self.kind == "shift" and self.profile not in PROFILES:
-            raise ValueError(
-                f"shift event needs a profile in {sorted(PROFILES)}"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict (``None`` fields omitted)."""
-        data = {"epoch": self.epoch, "kind": self.kind}
-        if self.node is not None:
-            data["node"] = self.node
-        if self.profile is not None:
-            data["profile"] = self.profile
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
-        return cls(**data)
+#: The scripted regime's :class:`ChaosConfig` values: no leases,
+#: periodic re-solves, a mild diurnal swing and no bursts.
+SCRIPTED_DEFAULTS = dict(
+    epochs=16,
+    base_sessions=900,
+    resolve_every=4,
+    lease_ttl=None,
+    diurnal_amplitude=0.08,
+    burst_probability=0.0,
+)
 
 
-@dataclass
-class ScenarioConfig:
-    """Everything a scripted coordination-plane run needs."""
+def scripted_events(
+    epochs: int,
+    shift_epoch: int,
+    fail_epoch: int,
+    recover_epoch: int,
+    fail_node: str,
+    shift_profile: str,
+) -> Tuple[FaultEvent, ...]:
+    """A profile shift that lasts to the end of an *epochs*-long run,
+    then a crash of *fail_node* with a cold restart."""
+    return (
+        FaultEvent(
+            kind="shift",
+            start=float(shift_epoch),
+            end=float(max(epochs, shift_epoch + 1)),
+            profile=shift_profile,
+        ),
+        FaultEvent(
+            kind="crash",
+            start=float(fail_epoch),
+            end=float(recover_epoch),
+            node=fail_node,
+        ),
+    )
 
-    topology: str = "Internet2"
-    epochs: int = 16
-    base_sessions: int = 900
-    profile: str = "mixed"
-    seed: int = 7
-    #: NetFlow sampling rate the agents export at (1.0 = unsampled).
-    sampling_rate: float = 1.0
-    # Bus conditions.
-    latency: float = 0.05
-    jitter: float = 0.02
-    loss_rate: float = 0.0
-    # Traffic dynamics.
-    diurnal_amplitude: float = 0.08
-    burst_probability: float = 0.0
-    # Controller / agent tunables.
-    heartbeat_timeout: float = 2.2
-    transition_window: float = 2.0
-    resolve_every: int = 4
-    stabilize_tolerance: float = 0.02
-    drift_threshold: float = 0.2
-    headroom: float = 1.0
-    #: Redundancy level r the controller plans at (paper §3: every
-    #: unit analyzed by ``r`` distinct on-path nodes).
-    coverage: float = 1.0
-    #: Epoch-lease TTL for graceful degradation; ``None`` (default)
-    #: runs the plane without leases, the pre-hardening behaviour.
-    lease_ttl: Optional[float] = None
-    events: Tuple[ScenarioEvent, ...] = ()
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; events serialize via their own hook."""
-        data = dataclasses.asdict(self)
-        data["events"] = [event.to_dict() for event in self.events]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        fields = dict(data)
-        fields["events"] = tuple(
-            ScenarioEvent.from_dict(event)
-            for event in fields.get("events", ())
-        )
-        return cls(**fields)
+def scripted_config(
+    events: Sequence[FaultEvent] = (),
+    name: str = "scripted",
+    **overrides,
+) -> ChaosConfig:
+    """A run of *events* with the scripted regime's defaults."""
+    fields = {**SCRIPTED_DEFAULTS, **overrides}
+    return ChaosConfig(plan=FaultPlan(name=name, events=tuple(events)), **fields)
 
 
 def standard_scenario(
@@ -160,388 +77,72 @@ def standard_scenario(
     fail_node: str = "NYCM",
     shift_profile: str = "web_heavy",
     **overrides,
-) -> ScenarioConfig:
+) -> ChaosConfig:
     """The canonical steady → shift → failure → recovery schedule."""
-    events = (
-        ScenarioEvent(epoch=shift_epoch, kind="shift", profile=shift_profile),
-        ScenarioEvent(epoch=fail_epoch, kind="fail", node=fail_node),
-        ScenarioEvent(epoch=recover_epoch, kind="recover", node=fail_node),
+    epochs = overrides.get("epochs", SCRIPTED_DEFAULTS["epochs"])
+    events = scripted_events(
+        epochs, shift_epoch, fail_epoch, recover_epoch, fail_node, shift_profile
     )
-    return ScenarioConfig(events=events, **overrides)
+    return scripted_config(events, name="standard", **overrides)
 
 
-@dataclass
-class ScenarioResult:
-    """Everything observed across one scripted run."""
+def scripted_violations(result: ChaosResult) -> List[str]:
+    """Violations of the scripted acceptance criteria (empty = pass).
 
-    config: ScenarioConfig
-    records: List[EpochRecord]
-    #: Epoch at which the controller first marked each node failed.
-    detection_epoch: Dict[str, int] = field(default_factory=dict)
-    #: Epoch at which the failed node's (repairable) hash ranges were
-    #: all observed re-applied on live survivors.
-    redistribution_epoch: Dict[str, int] = field(default_factory=dict)
-    #: Epoch at which a recovered node was converged back in.
-    reintegration_epoch: Dict[str, int] = field(default_factory=dict)
-    bus_stats: Optional[BusStats] = None
-    controller_stats: Optional[ControllerStats] = None
-    #: Hash-space mass that could not be reassigned (no live eligible
-    #: node), per failed node — the paper's singleton-unit caveat.
-    orphaned_mass: Dict[str, float] = field(default_factory=dict)
-
-    def check_acceptance(self) -> List[str]:
-        """Violations of the scenario acceptance criteria (empty = pass)."""
-        violations: List[str] = []
-        for record in self.records:
-            if record.in_transition:
-                continue
-            if record.coverage < COVERAGE_FLOOR:
-                violations.append(
-                    f"epoch {record.epoch}: coverage {record.coverage:.4f}"
-                    f" < {COVERAGE_FLOOR} outside a transition window"
-                )
-        for node, detected in self.detection_epoch.items():
-            redistributed = self.redistribution_epoch.get(node)
-            if redistributed is None:
-                violations.append(
-                    f"{node}: ranges never fully redistributed after the"
-                    f" failure was detected at epoch {detected}"
-                )
-            elif redistributed - detected > REDISTRIBUTION_DEADLINE_EPOCHS:
-                violations.append(
-                    f"{node}: redistribution took"
-                    f" {redistributed - detected} epochs (detected"
-                    f" {detected}, redistributed {redistributed};"
-                    f" deadline {REDISTRIBUTION_DEADLINE_EPOCHS})"
-                )
-        failed_events = [e for e in self.config.events if e.kind == "fail"]
-        if failed_events and not self.detection_epoch:
-            violations.append("injected failure was never detected")
-        # Delta efficiency: on reconfiguration epochs where the majority
-        # of manifest entries carried over, the bytes actually pushed
-        # must undercut full-manifest distribution.  Bootstrap and
-        # recovery epochs are excluded: a cold agent requires a full
-        # manifest by protocol, so there is nothing for a delta to win.
-        qualifying = [
-            r
-            for r in self.records
-            if r.resolved in ("drift", "periodic", "failure")
-            and r.unchanged_entry_fraction >= 0.5
-            and r.push_bytes > 0
-        ]
-        for record in qualifying:
-            if record.push_bytes >= record.full_equivalent_bytes:
-                violations.append(
-                    f"epoch {record.epoch} ({record.resolved}): pushed"
-                    f" {record.push_bytes} B >= full-manifest"
-                    f" {record.full_equivalent_bytes} B despite"
-                    f" {record.unchanged_entry_fraction:.0%} unchanged entries"
-                )
-        if not qualifying:
-            violations.append(
-                "no unchanged-majority reconfiguration epoch exercised"
-                " delta distribution"
-            )
-        return violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.check_acceptance()
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict for cross-process result transport."""
-        return {
-            "config": self.config.to_dict(),
-            "records": [record.to_dict() for record in self.records],
-            "detection_epoch": dict(self.detection_epoch),
-            "redistribution_epoch": dict(self.redistribution_epoch),
-            "reintegration_epoch": dict(self.reintegration_epoch),
-            "bus_stats": (
-                self.bus_stats.to_dict() if self.bus_stats else None
-            ),
-            "controller_stats": (
-                self.controller_stats.to_dict()
-                if self.controller_stats
-                else None
-            ),
-            "orphaned_mass": dict(self.orphaned_mass),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            config=ScenarioConfig.from_dict(data["config"]),
-            records=[
-                EpochRecord.from_dict(record) for record in data["records"]
-            ],
-            detection_epoch=dict(data.get("detection_epoch", {})),
-            redistribution_epoch=dict(data.get("redistribution_epoch", {})),
-            reintegration_epoch=dict(data.get("reintegration_epoch", {})),
-            bus_stats=(
-                BusStats.from_dict(data["bus_stats"])
-                if data.get("bus_stats")
-                else None
-            ),
-            controller_stats=(
-                ControllerStats.from_dict(data["controller_stats"])
-                if data.get("controller_stats")
-                else None
-            ),
-            orphaned_mass=dict(data.get("orphaned_mass", {})),
-        )
-
-
-def session_pools(
-    config: ScenarioConfig,
-    topology,
-    paths,
-    pool_size: int,
-) -> Dict[str, List[Session]]:
-    """One session pool per profile the scenario can be in.
-
-    Epochs slice a volume-scaled prefix of the active pool, so the
-    steady-state unit set is stable across epochs (the regime where
-    manifest deltas must stay small) while still scaling with the
-    diurnal volume.
+    These sit on top of the monitor's verdict
+    (:meth:`ChaosResult.check_acceptance`): coverage at the floor on
+    every epoch outside a transition window, detection of every
+    injected crash, redistribution within the deadline, and delta
+    pushes that undercut full-manifest distribution.
     """
-    names = {config.profile}
-    names.update(e.profile for e in config.events if e.kind == "shift")
-    pools: Dict[str, List[Session]] = {}
-    for offset, name in enumerate(sorted(names)):
-        generator = TrafficGenerator(
-            topology,
-            paths,
-            profile=PROFILES[name](),
-            config=GeneratorConfig(seed=config.seed + 101 * offset),
-        )
-        pools[name] = generator.generate(pool_size)
-    return pools
-
-
-def _clipped_union(ranges: Sequence[HashRange], piece: HashRange) -> float:
-    """Measure of ``union(ranges) ∩ piece``."""
-    clipped = [
-        HashRange(max(r.lo, piece.lo), min(r.hi, piece.hi))
-        for r in ranges
-        if r.hi > piece.lo and r.lo < piece.hi
-    ]
-    return union_length(clipped)
-
-
-def _ranges_reassigned(
-    snapshot: Dict[Ident, Tuple[HashRange, ...]],
-    agents: Dict[str, Agent],
-    failed_node: str,
-    skip: Set[Ident],
-) -> bool:
-    """Whether every repairable snapshot range is applied on a live
-    survivor's manifest (the acceptance check's ground truth: what the
-    agents actually run, not what the controller intends)."""
-    for ident, ranges in snapshot.items():
-        if ident in skip:
+    violations: List[str] = []
+    for record in result.epoch_records:
+        if record.in_transition:
             continue
-        class_name, key = ident
-        held: List[HashRange] = []
-        for node, agent in agents.items():
-            if node == failed_node or not agent.alive:
-                continue
-            held.extend(agent.manifest.ranges(class_name, key))
-        for piece in ranges:
-            if piece.empty:
-                continue
-            if _clipped_union(held, piece) < piece.length - 1e-9:
-                return False
-    return True
-
-
-def run_scenario(
-    config: ScenarioConfig,
-    registry: Optional[MetricsRegistry] = None,
-) -> ScenarioResult:
-    """Execute *config* and collect per-epoch records + verdicts.
-
-    *registry* (optional) receives control-plane telemetry from every
-    component of the run — bus channel counters, controller re-plan and
-    push/retry activity, per-agent ingress session counts — and is
-    installed as the ambient registry for the duration, so the LP
-    solves the controller triggers land in the same snapshot.
-    """
-    if registry is not None and registry.enabled:
-        with use_registry(registry):
-            return _run_scenario(config, registry)
-    return _run_scenario(config, NULL_REGISTRY)
-
-
-def _run_scenario(
-    config: ScenarioConfig, registry: MetricsRegistry
-) -> ScenarioResult:
-    topology = by_label(config.topology).set_uniform_capacities(cpu=1.0, mem=1.0)
-    known = set(topology.node_names)
-    for event in config.events:
-        if event.node is not None and event.node not in known:
-            raise ValueError(
-                f"scenario event references unknown node {event.node!r};"
-                f" {config.topology} nodes are {sorted(known)}"
+        if record.coverage < COVERAGE_FLOOR:
+            violations.append(
+                f"epoch {record.epoch}: coverage {record.coverage:.4f}"
+                f" < {COVERAGE_FLOOR} outside a transition window"
             )
-    paths = PathSet(topology)
-    modules = list(STANDARD_MODULES)
-
-    bus = Bus(
-        BusConfig(
-            latency=config.latency,
-            jitter=config.jitter,
-            loss_rate=config.loss_rate,
-            seed=config.seed,
-        ),
-        registry=registry,
-    )
-    controller = Controller(
-        topology,
-        paths,
-        modules,
-        bus,
-        ControllerConfig(
-            heartbeat_timeout=config.heartbeat_timeout,
-            resolve_every=config.resolve_every,
-            stabilize_tolerance=config.stabilize_tolerance,
-            drift_threshold=config.drift_threshold,
-            headroom=config.headroom,
-            coverage=config.coverage,
-            lease_ttl=config.lease_ttl,
-            retry_seed=config.seed,
-        ),
-        registry=registry,
-    )
-    agent_config = AgentConfig(
-        transition_window=config.transition_window,
-        lease_ttl=config.lease_ttl,
-    )
-    agents: Dict[str, Agent] = {}
-    for index, node in enumerate(topology.node_names):
-        agents[node] = Agent(
-            node,
-            bus,
-            exporter=FlowExporter(
-                sampling_rate=config.sampling_rate,
-                seed=config.seed + index,
-            ),
-            config=agent_config,
-            registry=registry,
+    for node, detected in result.detection_epoch.items():
+        redistributed = result.redistribution_epoch.get(node)
+        if redistributed is None:
+            violations.append(
+                f"{node}: ranges never fully redistributed after the"
+                f" failure was detected at epoch {detected}"
+            )
+        elif redistributed - detected > REDISTRIBUTION_DEADLINE_EPOCHS:
+            violations.append(
+                f"{node}: redistribution took"
+                f" {redistributed - detected} epochs (detected"
+                f" {detected}, redistributed {redistributed};"
+                f" deadline {REDISTRIBUTION_DEADLINE_EPOCHS})"
+            )
+    if result.config.plan.crash_events() and not result.detection_epoch:
+        violations.append("injected failure was never detected")
+    # Delta efficiency: on reconfiguration epochs where the majority
+    # of manifest entries carried over, the bytes actually pushed
+    # must undercut full-manifest distribution.  Bootstrap and
+    # recovery epochs are excluded: a cold agent requires a full
+    # manifest by protocol, so there is nothing for a delta to win.
+    qualifying = [
+        r
+        for r in result.epoch_records
+        if r.resolved in ("drift", "periodic", "failure")
+        and r.unchanged_entry_fraction >= 0.5
+        and r.push_bytes > 0
+    ]
+    for record in qualifying:
+        if record.push_bytes >= record.full_equivalent_bytes:
+            violations.append(
+                f"epoch {record.epoch} ({record.resolved}): pushed"
+                f" {record.push_bytes} B >= full-manifest"
+                f" {record.full_equivalent_bytes} B despite"
+                f" {record.unchanged_entry_fraction:.0%} unchanged entries"
+            )
+    if not qualifying:
+        violations.append(
+            "no unchanged-majority reconfiguration epoch exercised"
+            " delta distribution"
         )
-
-    volume_model = DiurnalBurstModel(
-        base_sessions=config.base_sessions,
-        diurnal_amplitude=config.diurnal_amplitude,
-        burst_probability=config.burst_probability,
-        seed=config.seed,
-    )
-    volumes = volume_model.series(config.epochs)
-    pools = session_pools(config, topology, paths, max(volumes))
-
-    events_by_epoch: Dict[int, List[ScenarioEvent]] = defaultdict(list)
-    for event in config.events:
-        events_by_epoch[event.epoch].append(event)
-
-    result = ScenarioResult(config=config, records=[])
-    profile = config.profile
-    #: Pre-crash manifest entries per failed node, awaiting reassignment.
-    pending_redistribution: Dict[str, Dict[Ident, Tuple[HashRange, ...]]] = {}
-    pending_recovery: Set[str] = set()
-
-    for epoch in range(config.epochs):
-        t = float(epoch)
-        for event in events_by_epoch.get(epoch, []):
-            if event.kind == "shift":
-                profile = event.profile
-            elif event.kind == "fail":
-                agent = agents[event.node]
-                pending_redistribution[event.node] = dict(
-                    agent.manifest.entries
-                )
-                agent.crash()
-            elif event.kind == "recover":
-                agents[event.node].recover()
-                pending_recovery.add(event.node)
-
-        sessions = pools[profile][: volumes[epoch]]
-        by_ingress: Dict[str, List[Session]] = defaultdict(list)
-        for session in sessions:
-            by_ingress[session.ingress].append(session)
-
-        bus_sent_before = bus.stats.sent
-        bus_bytes_before = bus.stats.bytes_sent
-
-        for node, agent in agents.items():
-            agent.step(t, sessions=by_ingress.get(node, []))
-        controller.step(t + 0.25)
-        for agent in agents.values():
-            agent.step(t + 0.5)
-        record = controller.finish_epoch(t + 0.75)
-
-        record.sessions = len(sessions)
-        record.messages_sent = bus.stats.sent - bus_sent_before
-        record.bytes_sent = bus.stats.bytes_sent - bus_bytes_before
-
-        # Ground-truth coverage: what the *applied* manifests of the
-        # *actually live* agents cover of this epoch's real traffic.
-        truth_units = build_units(modules, sessions, paths)
-        live = {node for node, agent in agents.items() if agent.alive}
-        applied = {
-            node: agent.manifest
-            for node, agent in agents.items()
-            if agent.alive
-        }
-        summary = coverage_metrics(truth_units, applied, live)
-        record.coverage = summary.coverage
-        record.min_unit_coverage = summary.min_unit_coverage
-        record.orphaned_fraction = summary.orphaned_fraction
-        registry.gauge(
-            "epoch_coverage",
-            "ground-truth volume-weighted coverage of the latest epoch",
-        ).set(record.coverage)
-
-        # A transition window is any epoch where the configuration is
-        # still propagating (push unacked) or a crashed node's ranges
-        # have not yet been repaired away (including the detection gap
-        # between the crash and the heartbeat timeout).
-        failure_unrepaired = any(
-            not agent.alive
-            and controller.manifests.get(node) is not None
-            and controller.manifests[node].entries
-            for node, agent in agents.items()
-        )
-        record.in_transition = (not record.converged) or failure_unrepaired
-
-        for node in list(pending_redistribution):
-            if node in record.failed_nodes:
-                result.detection_epoch.setdefault(node, epoch)
-            if node not in result.detection_epoch:
-                continue  # controller has not noticed yet
-            repair = controller.last_repair
-            skip: Set[Ident] = set()
-            if repair is not None:
-                skip = {ident for ident, _mass in repair.orphaned}
-                result.orphaned_mass[node] = sum(
-                    mass for _ident, mass in repair.orphaned
-                )
-            if _ranges_reassigned(
-                pending_redistribution[node], agents, node, skip
-            ):
-                result.redistribution_epoch[node] = epoch
-                del pending_redistribution[node]
-
-        for node in sorted(pending_recovery):
-            if (
-                agents[node].alive
-                and node not in controller.monitor.failed
-                and node not in controller.unsynced_live_nodes()
-            ):
-                result.reintegration_epoch[node] = epoch
-                pending_recovery.discard(node)
-
-        result.records.append(record)
-
-    result.bus_stats = bus.stats
-    result.controller_stats = controller.stats
-    return result
+    return violations

@@ -269,44 +269,30 @@ class CoordinatedDispatcher:
             Scope.EGRESS: [(pair[1],) for pair in pairs],
         }
 
-    def _as_batch(self, sessions) -> SessionBatch:
-        if isinstance(sessions, SessionBatch):
-            return sessions
-        return SessionBatch(sessions)
+    def batch_decisions(self, batch: SessionBatch) -> List["ModuleBatchDecision"]:
+        """Fig. 3 over a batch: full-length per-module masks for the
+        vectorized engine.
 
-    def _decide_batch_raw(
-        self, sessions
-    ) -> List[
-        Tuple[np.ndarray, np.ndarray, np.ndarray, List[UnitKey], np.ndarray, np.ndarray]
-    ]:
-        """Vectorized Fig. 3 over a session batch (or :class:`SessionBatch`).
-
-        Returns, per module (in module order): the full-length match
-        mask, the matched session indices, their unit-group ids, the
-        scope's gid-to-unit-key table, their hash values, and the
-        analyze flags.  Semantics are identical to running
-        :meth:`decide_session` per session.
+        For each module (in module order): the traffic-filter match
+        mask, the Fig. 3 analyze mask (match AND hash-in-range), and
+        the responsibility mask (this node holds *some* range for the
+        session's unit — the engine's ``_responsible`` check).  All
+        element-wise identical to the scalar predicates
+        (:meth:`decide_session` / :meth:`should_analyze`).
         """
-        batch = self._as_batch(sessions)
         n = len(batch)
         if n == 0:
+            empty = np.empty(0, dtype=bool)
             return [
-                (
-                    np.empty(0, dtype=bool),
-                    np.empty(0, dtype=np.intp),
-                    np.empty(0, dtype=np.intp),
-                    [],
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=bool),
-                )
-                for _ in self.modules
+                ModuleBatchDecision(spec, empty, empty, empty)
+                for spec in self.modules
             ]
         group_ids = batch.group_ids
         units_by_scope = self._units_by_scope(batch)
         index = self.index
 
         hashes_by_aggregation: Dict[Aggregation, np.ndarray] = {}
-        results = []
+        out: List[ModuleBatchDecision] = []
         for spec in self.modules:
             all_hashes = hashes_by_aggregation.get(spec.aggregation)
             if all_hashes is None:
@@ -320,100 +306,31 @@ class CoordinatedDispatcher:
                     batch.proto,
                 )
                 hashes_by_aggregation[spec.aggregation] = all_hashes
-            mask = spec.traffic_filter.matches_sessions_batch(
+            match = spec.traffic_filter.matches_sessions_batch(
                 batch.proto, batch.dport
             )
-            matched = np.flatnonzero(mask)
+            matched = np.flatnonzero(match)
             unit_table = units_by_scope[spec.scope]
-            matched_gids = group_ids[matched]
-            matched_hashes = all_hashes[matched]
-            flags = np.zeros(len(matched), dtype=bool)
+            analyze = np.zeros(n, dtype=bool)
             if len(matched):
                 # One searchsorted per (unit, batch) instead of one
                 # linear range scan per (unit, session).
+                matched_gids = group_ids[matched]
+                matched_hashes = all_hashes[matched]
                 order = np.argsort(matched_gids, kind="stable")
                 sorted_gids = matched_gids[order]
                 cuts = np.flatnonzero(np.diff(sorted_gids)) + 1
                 for group in np.split(order, cuts):
                     unit = unit_table[matched_gids[group[0]]]
-                    flags[group] = index.contains_batch(
+                    analyze[matched[group]] = index.contains_batch(
                         spec.name, unit, matched_hashes[group]
                     )
-            results.append(
-                (mask, matched, matched_gids, unit_table, matched_hashes, flags)
+            table = np.fromiter(
+                (self.manifest.responsible(spec.name, unit) for unit in unit_table),
+                dtype=bool,
+                count=len(unit_table),
             )
-        return results
-
-    def decide_batch(
-        self, sessions: Sequence[Session]
-    ) -> List[List[DispatchDecision]]:
-        """Fig. 3 over a batch: per-session decision lists.
-
-        Produces exactly ``[self.decide_session(s) for s in sessions]``
-        (same modules, units, bit-identical hash values, same analyze
-        verdicts) via the vectorized fast path.
-        """
-        decisions: List[List[DispatchDecision]] = [[] for _ in sessions]
-        for spec, (_mask, matched, gids, unit_table, hashes, flags) in zip(
-            self.modules, self._decide_batch_raw(sessions)
-        ):
-            for j, i in enumerate(matched):
-                decisions[i].append(
-                    DispatchDecision(
-                        module=spec,
-                        unit=unit_table[gids[j]],
-                        hash_value=float(hashes[j]),
-                        analyze=bool(flags[j]),
-                    )
-                )
-        return decisions
-
-    def sampled_modules_batch(
-        self, sessions: Sequence[Session]
-    ) -> List[List[ModuleSpec]]:
-        """Lean batch path: per session, the modules that sample it.
-
-        Equivalent to ``[[spec for spec in self.modules if
-        self.should_analyze(spec, s)] for s in sessions]`` — the per-
-        session inner loop of the emulation engine — without building
-        decision objects.
-        """
-        sampled: List[List[ModuleSpec]] = [[] for _ in sessions]
-        for spec, (_mask, matched, _gids, _units, _hashes, flags) in zip(
-            self.modules, self._decide_batch_raw(sessions)
-        ):
-            for i in matched[flags]:
-                sampled[i].append(spec)
-        return sampled
-
-    def batch_decisions(self, batch: SessionBatch) -> List["ModuleBatchDecision"]:
-        """Full-length per-module masks for the vectorized engine.
-
-        For each module (in module order): the traffic-filter match
-        mask, the Fig. 3 analyze mask (match AND hash-in-range), and
-        the responsibility mask (this node holds *some* range for the
-        session's unit — the engine's ``_responsible`` check).  All
-        element-wise identical to the scalar predicates.
-        """
-        raw = self._decide_batch_raw(batch)
-        n = len(batch)
-        out: List[ModuleBatchDecision] = []
-        for spec, (mask, matched, _gids, unit_table, _hashes, flags) in zip(
-            self.modules, raw
-        ):
-            analyze = np.zeros(n, dtype=bool)
-            if len(matched):
-                analyze[matched[flags]] = True
-            if unit_table:
-                table = np.fromiter(
-                    (self.manifest.responsible(spec.name, unit) for unit in unit_table),
-                    dtype=bool,
-                    count=len(unit_table),
-                )
-                responsible = table[batch.group_ids]
-            else:
-                responsible = np.zeros(n, dtype=bool)
-            out.append(ModuleBatchDecision(spec, mask, analyze, responsible))
+            out.append(ModuleBatchDecision(spec, match, analyze, table[group_ids]))
         return out
 
     def should_analyze(self, spec: ModuleSpec, session: Session) -> bool:

@@ -132,15 +132,18 @@ def generate_manifests(
                 last_entry = (node, (unit.class_name, unit.key))
             position += fraction
             cursor += fraction
-            if cursor >= 1.0:
-                cursor -= 1.0
-            elif cursor >= 1.0 - EPSILON:
+            if abs(cursor - 1.0) <= EPSILON:
                 # The lap boundary landed within EPSILON of the top, so
                 # the piece just laid was snapped to end at exactly 1.0
-                # (closed top).  The next range must start at the
-                # bottom, or it would lay a sliver under the snapped
-                # band and cover it fold+1 times.
+                # (closed top) and any overshoot was dropped rather than
+                # wrapped.  The next range must start at the bottom:
+                # starting below the top would lay a sliver under the
+                # snapped band and cover it fold+1 times, and starting
+                # at the dropped overshoot would leave ``[0, overshoot)``
+                # covered only fold-1 times.
                 cursor = 0.0
+            elif cursor > 1.0:
+                cursor -= 1.0
         expected = assignment.coverage.get(unit.ident, 1.0)
         if abs(position - expected) > 1e-6:
             raise ValueError(

@@ -13,7 +13,6 @@ footprints are reported.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -22,14 +21,13 @@ from ..obs import MetricsRegistry
 from ..traffic.generator import TrafficGenerator
 from ..traffic.session import Session
 from .engine import (
-    _UNSET,
-    _resolve_config,
     BroInstance,
     BroMode,
     EmulationConfig,
     ExecutionMode,
     InstanceReport,
     PartialInstanceReport,
+    with_registry,
 )
 from .modules.base import Alert, ModuleSpec
 
@@ -114,10 +112,8 @@ class DeploymentUsage:
 class Traffic:
     """The trace input to :func:`run_emulation`, with its routing context.
 
-    Folds away the redundant ``(generator, sessions)`` parameter pair
-    the old entry points took: the generator supplies topology and
-    routing (``split_by_node``), and exactly one of three trace
-    sources supplies the sessions —
+    The generator supplies topology and routing (``split_by_node``),
+    and exactly one of three trace sources supplies the sessions —
 
     * ``sessions`` — an already-materialized trace
       (:meth:`materialized`);
@@ -233,12 +229,8 @@ def run_emulation(
     telemetry: per-node dispatch counts, hash-cache hits, tracked /
     light connection tallies, trace throughput, and — for sharded
     runs — the ``engine_shard_*`` families.
-
-    This supersedes ``emulate_edge`` / ``emulate_coordinated`` /
-    ``emulate_edge_stream`` / ``emulate_coordinated_stream``, which
-    remain as deprecated wrappers.
     """
-    config = _resolve_config(config, registry)
+    config = with_registry(config, registry)
     coordinated = isinstance(modules_or_deployment, NIDSDeployment)
     if coordinated:
         deployment = modules_or_deployment
@@ -319,78 +311,6 @@ def run_emulation(
         return DeploymentUsage(label=label, reports=reports)
 
 
-def _deprecated(old: str, hint: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use run_emulation({hint})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def emulate_edge(
-    generator: TrafficGenerator,
-    sessions: Sequence[Session],
-    modules: Sequence[ModuleSpec],
-    cost_model: object = _UNSET,
-    run_detectors: object = _UNSET,
-    *,
-    config: Optional[EmulationConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> DeploymentUsage:
-    """Deprecated wrapper for the edge-only deployment.
-
-    Use ``run_emulation(Traffic.materialized(generator, sessions),
-    modules, config=...)``.  This shim folds the historically redundant
-    ``(generator, sessions)`` pair — the generator was only ever used
-    for ``split_by_node`` routing — into a :class:`Traffic`, resolves
-    the deprecated bare keywords (``cost_model`` / ``run_detectors``)
-    into the config, and forwards."""
-    _deprecated("emulate_edge", "Traffic.materialized(generator, sessions), modules")
-    config = _resolve_config(
-        config, registry, cost_model=cost_model, run_detectors=run_detectors
-    )
-    return run_emulation(
-        Traffic.materialized(generator, sessions), modules, config=config
-    )
-
-
-def emulate_coordinated(
-    deployment: NIDSDeployment,
-    generator: TrafficGenerator,
-    sessions: Sequence[Session],
-    cost_model: object = _UNSET,
-    run_detectors: object = _UNSET,
-    mode: object = _UNSET,
-    fine_grained: object = _UNSET,
-    batch_dispatch: object = _UNSET,
-    *,
-    config: Optional[EmulationConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> DeploymentUsage:
-    """Deprecated wrapper for the coordinated deployment.
-
-    Use ``run_emulation(Traffic.materialized(generator, sessions),
-    deployment, config=...)``.  The bare keywords (``cost_model``,
-    ``mode``, ``batch_dispatch``, ...) are the pre-config shims; they
-    are resolved into the config here and forwarded."""
-    _deprecated(
-        "emulate_coordinated",
-        "Traffic.materialized(generator, sessions), deployment",
-    )
-    config = _resolve_config(
-        config,
-        registry,
-        cost_model=cost_model,
-        run_detectors=run_detectors,
-        mode=mode,
-        fine_grained=fine_grained,
-        batch_dispatch=batch_dispatch,
-    )
-    return run_emulation(
-        Traffic.materialized(generator, sessions), deployment, config=config
-    )
-
-
 def _emulate_stream(
     label: str,
     instances: Dict[str, BroInstance],
@@ -432,71 +352,6 @@ def _emulate_stream(
     return DeploymentUsage(label=label, reports=reports)
 
 
-def _streamed_config(
-    config: Optional[EmulationConfig], registry: Optional[MetricsRegistry]
-) -> EmulationConfig:
-    """Resolve a wrapper config and force the streamed execution mode."""
-    from dataclasses import replace
-
-    config = _resolve_config(config, registry)
-    if config.policy.mode is not ExecutionMode.STREAMED:
-        config = replace(
-            config,
-            policy=replace(config.policy, mode=ExecutionMode.STREAMED),
-        )
-    return config
-
-
-def emulate_edge_stream(
-    generator: TrafficGenerator,
-    session_chunks: Iterable[Sequence[Session]],
-    modules: Sequence[ModuleSpec],
-    *,
-    config: Optional[EmulationConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> DeploymentUsage:
-    """Deprecated wrapper for the edge-only streamed run.
-
-    Use ``run_emulation(Traffic.chunked(generator, session_chunks),
-    modules, config=EmulationConfig(policy=ExecutionPolicy.streamed()))``
-    — this shim forces the streamed policy and forwards."""
-    _deprecated(
-        "emulate_edge_stream",
-        "Traffic.chunked(generator, chunks), modules,"
-        " config=EmulationConfig(policy=ExecutionPolicy.streamed())",
-    )
-    return run_emulation(
-        Traffic.chunked(generator, session_chunks),
-        modules,
-        config=_streamed_config(config, registry),
-    )
-
-
-def emulate_coordinated_stream(
-    deployment: NIDSDeployment,
-    generator: TrafficGenerator,
-    session_chunks: Iterable[Sequence[Session]],
-    *,
-    config: Optional[EmulationConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> DeploymentUsage:
-    """Deprecated wrapper for the coordinated streamed run.
-
-    Use ``run_emulation(Traffic.chunked(generator, session_chunks),
-    deployment, config=EmulationConfig(policy=ExecutionPolicy.streamed()))``
-    — this shim forces the streamed policy and forwards."""
-    _deprecated(
-        "emulate_coordinated_stream",
-        "Traffic.chunked(generator, chunks), deployment,"
-        " config=EmulationConfig(policy=ExecutionPolicy.streamed())",
-    )
-    return run_emulation(
-        Traffic.chunked(generator, session_chunks),
-        deployment,
-        config=_streamed_config(config, registry),
-    )
-
-
 @dataclass
 class ComparisonRow:
     """One (x, edge, coordinated) measurement for the Fig. 6/7 series."""
@@ -523,13 +378,12 @@ def compare_deployments(
     generator: TrafficGenerator,
     sessions: Sequence[Session],
     x: float,
-    cost_model: object = _UNSET,
     *,
     config: Optional[EmulationConfig] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> ComparisonRow:
     """Emulate both deployments and return the max-load comparison."""
-    config = _resolve_config(config, registry, cost_model=cost_model)
+    config = with_registry(config, registry)
     traffic = Traffic.materialized(generator, sessions)
     edge = run_emulation(traffic, deployment.modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)

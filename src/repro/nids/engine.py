@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -135,74 +134,38 @@ class ExecutionPolicy:
 class EmulationConfig:
     """Run configuration for emulation entry points and instances.
 
-    Collapses the keyword sprawl that accreted on
-    :func:`~repro.nids.emulation.emulate_coordinated` and
-    :class:`BroInstance` into one value that can be built once and
-    shared across a whole experiment sweep.  ``mode`` selects the
-    instance variant for the coordinated entry points (it is ignored by
-    :class:`BroInstance`, whose explicit ``mode`` argument is
-    authoritative).  ``registry`` receives runtime telemetry; the
-    default :data:`~repro.obs.NULL_REGISTRY` makes every recording a
-    no-op.  ``policy`` selects how
-    :func:`~repro.nids.emulation.run_emulation` executes the run
-    (inline / streamed / sharded); it never changes what is computed.
+    One value that can be built once and shared across a whole
+    experiment sweep.  ``mode`` selects the instance variant for
+    coordinated emulation (it is ignored by :class:`BroInstance`, whose
+    explicit ``mode`` argument is authoritative).  ``registry``
+    receives runtime telemetry; the default
+    :data:`~repro.obs.NULL_REGISTRY` makes every recording a no-op.
+    ``policy`` selects how :func:`~repro.nids.emulation.run_emulation`
+    executes the run (inline / streamed / sharded); it never changes
+    what is computed.
     """
 
     mode: BroMode = BroMode.COORD_EVENT
     cost_model: CostModel = DEFAULT_COST_MODEL
     run_detectors: bool = False
     fine_grained: bool = False
-    batch_dispatch: bool = True
     #: Vectorized engine fast path: evaluate the whole cost model over
     #: NumPy session arrays (bit-identical reports; ~order-of-magnitude
-    #: faster on large traces).  Scalar fallback remains for single
-    #: sessions and as the reference semantics.
+    #: faster on large traces).  ``False`` selects the scalar
+    #: per-session loop, kept for single sessions and as the reference
+    #: semantics (the test oracle).
     batch_engine: bool = True
     registry: MetricsRegistry = NULL_REGISTRY
     policy: ExecutionPolicy = ExecutionPolicy()
 
 
-class _Unset:
-    """Sentinel distinguishing 'not passed' from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-
-def _resolve_config(
-    config: Optional[EmulationConfig],
-    registry: Optional[MetricsRegistry],
-    **legacy: object,
+def with_registry(
+    config: Optional[EmulationConfig], registry: Optional[MetricsRegistry]
 ) -> EmulationConfig:
-    """Fold deprecated per-call keywords into an :class:`EmulationConfig`.
-
-    Legacy keywords still work (so pre-config callers keep their exact
-    behaviour) but raise a :class:`DeprecationWarning`; mixing them
-    with ``config=`` is an error because the precedence would be
-    ambiguous.  An explicit ``registry=`` always wins over
-    ``config.registry`` — it is the blessed way to opt into telemetry.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if supplied:
-        if config is not None:
-            raise TypeError(
-                "pass either config=EmulationConfig(...) or the deprecated"
-                f" keyword arguments {sorted(supplied)}, not both"
-            )
-        warnings.warn(
-            f"passing {'/'.join(sorted(supplied))} directly is deprecated;"
-            " use config=EmulationConfig(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = EmulationConfig(**supplied)  # type: ignore[arg-type]
-    elif config is None:
-        config = EmulationConfig()
+    """*config* (default :class:`EmulationConfig`) with an explicit
+    *registry* overriding ``config.registry``; the caller's config
+    object itself is left untouched."""
+    config = config if config is not None else EmulationConfig()
     if registry is not None:
         config = replace(config, registry=registry)
     return config
@@ -468,24 +431,13 @@ class BroInstance:
         modules: Sequence[ModuleSpec],
         mode: BroMode,
         dispatcher: Optional[CoordinatedDispatcher] = None,
-        cost_model: object = _UNSET,
-        run_detectors: object = _UNSET,
-        fine_grained: object = _UNSET,
-        batch_dispatch: object = _UNSET,
         *,
         config: Optional[EmulationConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         if mode is not BroMode.UNMODIFIED and dispatcher is None:
             raise ValueError("coordinated modes require a dispatcher")
-        config = _resolve_config(
-            config,
-            registry,
-            cost_model=cost_model,
-            run_detectors=run_detectors,
-            fine_grained=fine_grained,
-            batch_dispatch=batch_dispatch,
-        )
+        config = with_registry(config, registry)
         self.node = node
         self.modules = list(modules)
         self.mode = mode
@@ -493,10 +445,6 @@ class BroInstance:
         self.config = config
         self.registry = config.registry
         self.cost = config.cost_model
-        #: Vectorized Fig. 3 fast path: precompute the whole trace's
-        #: sampling decisions with CoordinatedDispatcher.sampled_modules_batch
-        #: (bit-identical to the scalar per-session checks).
-        self.batch_dispatch = config.batch_dispatch
         #: Vectorized cost-model fast path (masks over session arrays).
         self.batch_engine = config.batch_engine
         #: §2.5 extension: honour FIRST_PACKET subscriptions with
@@ -619,23 +567,16 @@ class BroInstance:
         started = time.perf_counter()
         cache_before = self._cache_counters()
 
-        batch_sampled = None
-        if coordinated and self.batch_dispatch and len(sessions) > 1:
-            assert self.dispatcher is not None
-            batch_sampled = self.dispatcher.sampled_modules_batch(sessions)
-
         tracked_connections = 0
         light_connections = 0
-        for position, session in enumerate(sessions):
+        for session in sessions:
             pkts = session.num_packets
             # Canonical per-session subtotal. The batch path reproduces
             # this exact operation order elementwise, so the two paths
             # fold identical doubles into the exact accumulator.
             subtotal = cost.capture_cost * pkts
 
-            if batch_sampled is not None:
-                sampled_specs = batch_sampled[position]
-            elif coordinated:
+            if coordinated:
                 sampled_specs = [
                     spec for spec in self.modules if self._sampled(spec, session)
                 ]

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.dispatch import CoordinatedDispatcher, UnitResolver
 from ..core.manifest import NodeManifest
-from ..obs import MetricsRegistry, NULL_REGISTRY
+from ..obs import NONDETERMINISTIC_SUFFIXES, MetricsRegistry, NULL_REGISTRY
 from ..traffic.session import Session
 from .engine import (
     BroInstance,
@@ -52,12 +52,6 @@ from .engine import (
     PartialInstanceReport,
 )
 from .modules.base import Alert, ModuleSpec
-
-#: Metric-family suffixes excluded from merged worker telemetry — the
-#: same wall-clock exclusion discipline as ``repro.sweep.report``,
-#: applied at the shard boundary so merged snapshots stay identical
-#: across worker counts and runs.
-NONDETERMINISTIC_SUFFIXES: Tuple[str, ...] = ("_seconds", "_per_second")
 
 #: Environment override forcing inline fallback (useful for tests and
 #: for operators running under an outer scheduler the guard cannot see).

@@ -10,7 +10,7 @@ so instrumentation costs nothing until a caller opts in.
 Two ways to wire a registry in:
 
 * **explicitly** — ``run_emulation(..., registry=reg)``,
-  ``run_scenario(config, registry=reg)``, ``Controller(...,
+  ``run_chaos(config, registry=reg)``, ``Controller(...,
   registry=reg)``: the component records into the registry you hand
   it;
 * **ambiently** — ``with use_registry(reg): ...``: deep call sites
@@ -34,7 +34,7 @@ See ``docs/observability.md`` for the metric catalogue.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from .export import (
     CSV_HEADER,
@@ -58,6 +58,11 @@ from .metrics import (
     Span,
 )
 
+#: Metric-family name suffixes of wall-clock-derived families, which
+#: differ run to run: snapshots merged across workers or cells drop
+#: them so the merged result is deterministic.
+NONDETERMINISTIC_SUFFIXES: Tuple[str, ...] = ("_seconds", "_per_second")
+
 #: The ambient registry used by call sites too deep to parameterize
 #: (LP solver backend, manifest generation).  Null by default.
 _ambient: MetricsRegistry = NULL_REGISTRY
@@ -66,7 +71,7 @@ _ambient: MetricsRegistry = NULL_REGISTRY
 def get_registry() -> MetricsRegistry:
     """The current ambient registry (the null registry by default)."""
     # repnoqa: REP204 -- per-process ambient default; each spawned
-    # worker installs its own registry (run_scenario(registry=...)),
+    # worker installs its own registry (run_chaos(registry=...)),
     # nothing is shared or merged across the process boundary.
     return _ambient  # repnoqa: REP204
 
@@ -101,6 +106,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NONDETERMINISTIC_SUFFIXES",
     "NullRegistry",
     "NULL_REGISTRY",
     "Span",

@@ -34,7 +34,7 @@ from .spec import SweepCell
 #: Bump when the worker/scoring semantics change in a way that makes
 #: previously cached cell results incomparable (e.g. new acceptance
 #: rules, changed consolidated-report fields sourced from the cell).
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 def canonical_json(payload: object) -> str:

@@ -23,15 +23,11 @@ sequential and parallel executors produce byte-identical output:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..obs import MetricsRegistry
+from ..obs import NONDETERMINISTIC_SUFFIXES, MetricsRegistry
 from .executor import SweepRun
 from .worker import CellResult
-
-#: Metric-family name suffixes excluded from the consolidated report
-#: (wall-clock derived, so nondeterministic across runs/executors).
-NONDETERMINISTIC_SUFFIXES: Tuple[str, ...] = ("_seconds", "_per_second")
 
 #: How many lowest-coverage cells the report highlights.
 WORST_CELLS = 3

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 from ..control.chaos import NAMED_PLANS
-from ..control.scenarios import PROFILES
+from ..traffic.profiles import PROFILES
 
 #: The fault-condition axis: ``none`` runs the scripted
 #: steady → shift → failure → recovery scenario; every other value is
@@ -87,9 +87,9 @@ class SweepCell:
 
     A cell is pure data — it names *what* to run, not *how*; the
     worker (:mod:`repro.sweep.worker`) translates it into a
-    :class:`~repro.control.scenarios.ScenarioConfig` (``plan ==
-    "none"``) or a :class:`~repro.control.chaos.ChaosConfig` (any
-    other plan) with the cell's derived seed.
+    :class:`~repro.control.chaos.ChaosConfig` with the cell's derived
+    seed: the scripted schedule for ``plan == "none"``, the fault plan
+    otherwise.
     """
 
     topology: str = "internet2"

@@ -9,16 +9,15 @@ seed — no sharing, no ordering dependence — which is what makes the
 grid embarrassingly parallel and the parallel/sequential consolidated
 reports bit-identical.
 
-A cell maps to one of the two existing end-to-end drivers:
+Every cell runs through the one epoch driver,
+:func:`~repro.control.chaos.run_chaos`, and is judged by the
+:class:`~repro.control.chaos.InvariantMonitor`:
 
 * ``plan == "none"`` — the scripted steady → shift → failure →
-  recovery scenario (:func:`~repro.control.scenarios.run_scenario`),
-  with the event schedule scaled to the cell's epoch count and the
-  failed node chosen deterministically from the cell seed;
-* any other plan — a chaos run
-  (:func:`~repro.control.chaos.run_chaos`) under the named (or
-  seeded-``random``) fault plan, judged by the
-  :class:`~repro.control.chaos.InvariantMonitor`.
+  recovery schedule, scaled to the cell's epoch count with the failed
+  node chosen deterministically from the cell seed, additionally
+  scored by :func:`~repro.control.scenarios.scripted_violations`;
+* any other plan — the named (or seeded-``random``) fault plan.
 
 The cell's full telemetry snapshot rides along in the result, so the
 parent can fold every worker's metrics into one registry with
@@ -27,15 +26,16 @@ parent can fold every worker's metrics into one registry with
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..control.chaos import ChaosConfig, build_plan, run_chaos
+from ..control.chaos import ChaosConfig, FaultEvent, build_plan, run_chaos
 from ..control.scenarios import (
-    ScenarioConfig,
-    ScenarioEvent,
-    run_scenario,
+    scripted_config,
+    scripted_events,
+    scripted_violations,
 )
 from ..obs import MetricsRegistry
 from ..topology import by_label
@@ -68,10 +68,10 @@ class CellResult:
     full_equivalent_bytes: int
     messages_sent: int
     bytes_sent: int
-    #: Scenario verdicts (empty for chaos cells).
+    #: Crash verdicts (empty without crash events).
     detection_epoch: Dict[str, int]
     redistribution_epoch: Dict[str, int]
-    #: Chaos verdicts (``None`` for scenario cells).
+    #: Monitor verdicts.
     first_degraded_epoch: Optional[int]
     reconverged_epoch: Optional[int]
     #: Full per-cell telemetry snapshot (repro.obs format).
@@ -80,55 +80,22 @@ class CellResult:
 
     def to_dict(self) -> dict:
         """JSON-compatible dict (the cache artifact payload)."""
-        return {
-            "cell": self.cell.to_dict(),
-            "derived_seed": self.derived_seed,
-            "kind": self.kind,
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "epochs_run": self.epochs_run,
-            "coverage_mean": self.coverage_mean,
-            "coverage_min": self.coverage_min,
-            "push_bytes": self.push_bytes,
-            "full_equivalent_bytes": self.full_equivalent_bytes,
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "detection_epoch": dict(self.detection_epoch),
-            "redistribution_epoch": dict(self.redistribution_epoch),
-            "first_degraded_epoch": self.first_degraded_epoch,
-            "reconverged_epoch": self.reconverged_epoch,
-            "metrics": self.metrics,
-            "duration_seconds": self.duration_seconds,
-        }
+        data = dataclasses.asdict(self)
+        data["violations"] = list(self.violations)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellResult":
         """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            cell=SweepCell.from_dict(data["cell"]),
-            derived_seed=data["derived_seed"],
-            kind=data["kind"],
-            ok=data["ok"],
-            violations=tuple(data.get("violations", ())),
-            epochs_run=data["epochs_run"],
-            coverage_mean=data["coverage_mean"],
-            coverage_min=data["coverage_min"],
-            push_bytes=data["push_bytes"],
-            full_equivalent_bytes=data["full_equivalent_bytes"],
-            messages_sent=data["messages_sent"],
-            bytes_sent=data["bytes_sent"],
-            detection_epoch=dict(data.get("detection_epoch", {})),
-            redistribution_epoch=dict(data.get("redistribution_epoch", {})),
-            first_degraded_epoch=data.get("first_degraded_epoch"),
-            reconverged_epoch=data.get("reconverged_epoch"),
-            metrics=data.get("metrics", {}),
-            duration_seconds=data.get("duration_seconds", 0.0),
-        )
+        fields = dict(data)
+        fields["cell"] = SweepCell.from_dict(data["cell"])
+        fields["violations"] = tuple(data["violations"])
+        return cls(**fields)
 
 
 def scenario_events(
     cell: SweepCell, node_names: Tuple[str, ...]
-) -> Tuple[ScenarioEvent, ...]:
+) -> Tuple[FaultEvent, ...]:
     """The scripted schedule for a ``plan == "none"`` cell.
 
     The canonical 16-epoch shift@5 / fail@8 / recover@12 schedule,
@@ -149,41 +116,36 @@ def scenario_events(
     fail_node = ordered[cell.derived_seed % len(ordered)]
     base_profile = DYNAMICS_PRESETS[cell.dynamics]["profile"]
     shift_profile = "web_heavy" if base_profile != "web_heavy" else "mixed"
-    return (
-        ScenarioEvent(epoch=shift_epoch, kind="shift", profile=shift_profile),
-        ScenarioEvent(epoch=fail_epoch, kind="fail", node=fail_node),
-        ScenarioEvent(epoch=recover_epoch, kind="recover", node=fail_node),
+    return scripted_events(
+        cell.epochs,
+        shift_epoch,
+        fail_epoch,
+        recover_epoch,
+        fail_node,
+        shift_profile,
     )
 
 
-def build_cell_config(cell: SweepCell):
-    """The cell's run config: ``ScenarioConfig`` or ``ChaosConfig``."""
+def build_cell_config(cell: SweepCell) -> ChaosConfig:
+    """The cell's run config, built from the full dynamics preset."""
     preset = DYNAMICS_PRESETS[cell.dynamics]
-    derived = cell.derived_seed
-    if cell.plan == "none":
-        node_names = tuple(by_label(cell.topology).node_names)
-        return ScenarioConfig(
-            topology=cell.topology,
-            epochs=cell.epochs,
-            base_sessions=cell.base_sessions,
-            profile=str(preset["profile"]),
-            seed=derived,
-            diurnal_amplitude=float(preset["diurnal_amplitude"]),
-            burst_probability=float(preset["burst_probability"]),
-            coverage=cell.redundancy,
-            events=scenario_events(cell, node_names),
-        )
     node_names = tuple(by_label(cell.topology).node_names)
-    plan = build_plan(cell.plan, derived, cell.epochs, node_names)
-    return ChaosConfig(
-        plan=plan,
+    workload = dict(
         topology=cell.topology,
         epochs=cell.epochs,
         base_sessions=cell.base_sessions,
         profile=str(preset["profile"]),
-        seed=derived,
+        seed=cell.derived_seed,
+        diurnal_amplitude=float(preset["diurnal_amplitude"]),
+        burst_probability=float(preset["burst_probability"]),
         coverage=cell.redundancy,
     )
+    if cell.plan == "none":
+        return scripted_config(
+            scenario_events(cell, node_names), name="none", **workload
+        )
+    plan = build_plan(cell.plan, cell.derived_seed, cell.epochs, node_names)
+    return ChaosConfig(plan=plan, **workload)
 
 
 def run_cell(cell: SweepCell) -> CellResult:
@@ -195,60 +157,29 @@ def run_cell(cell: SweepCell) -> CellResult:
     """
     started = time.perf_counter()
     registry = MetricsRegistry()
-    config = build_cell_config(cell)
-    if isinstance(config, ScenarioConfig):
-        result = run_scenario(config, registry=registry)
-        violations = tuple(result.check_acceptance())
-        records = result.records
-        coverages = [record.coverage for record in records]
-        stats = result.controller_stats
-        return CellResult(
-            cell=cell,
-            derived_seed=cell.derived_seed,
-            kind="scenario",
-            ok=not violations,
-            violations=violations,
-            epochs_run=len(records),
-            coverage_mean=(
-                sum(coverages) / len(coverages) if coverages else 1.0
-            ),
-            coverage_min=min(coverages, default=1.0),
-            push_bytes=stats.push_bytes if stats else 0,
-            full_equivalent_bytes=(
-                stats.full_equivalent_bytes if stats else 0
-            ),
-            messages_sent=result.bus_stats.sent if result.bus_stats else 0,
-            bytes_sent=(
-                result.bus_stats.bytes_sent if result.bus_stats else 0
-            ),
-            detection_epoch=dict(result.detection_epoch),
-            redistribution_epoch=dict(result.redistribution_epoch),
-            first_degraded_epoch=None,
-            reconverged_epoch=None,
-            metrics=registry.snapshot(),
-            duration_seconds=time.perf_counter() - started,
-        )
-    chaos = run_chaos(config, registry=registry)
-    violations = tuple(chaos.check_acceptance())
-    coverages = [record.record.coverage for record in chaos.records]
-    stats = chaos.controller_stats
+    result = run_chaos(build_cell_config(cell), registry=registry)
+    violations = result.check_acceptance()
+    if cell.plan == "none":
+        violations += scripted_violations(result)
+    coverages = [record.record.coverage for record in result.records]
+    stats = result.controller_stats
     return CellResult(
         cell=cell,
         derived_seed=cell.derived_seed,
-        kind="chaos",
+        kind="scenario" if cell.plan == "none" else "chaos",
         ok=not violations,
-        violations=violations,
-        epochs_run=len(chaos.records),
+        violations=tuple(violations),
+        epochs_run=len(result.records),
         coverage_mean=sum(coverages) / len(coverages) if coverages else 1.0,
         coverage_min=min(coverages, default=1.0),
         push_bytes=stats.push_bytes if stats else 0,
         full_equivalent_bytes=stats.full_equivalent_bytes if stats else 0,
-        messages_sent=chaos.bus_stats.sent if chaos.bus_stats else 0,
-        bytes_sent=chaos.bus_stats.bytes_sent if chaos.bus_stats else 0,
-        detection_epoch={},
-        redistribution_epoch={},
-        first_degraded_epoch=chaos.first_degraded_epoch,
-        reconverged_epoch=chaos.reconverged_epoch,
+        messages_sent=result.bus_stats.sent if result.bus_stats else 0,
+        bytes_sent=result.bus_stats.bytes_sent if result.bus_stats else 0,
+        detection_epoch=dict(result.detection_epoch),
+        redistribution_epoch=dict(result.redistribution_epoch),
+        first_degraded_epoch=result.first_degraded_epoch,
+        reconverged_epoch=result.reconverged_epoch,
         metrics=registry.snapshot(),
         duration_seconds=time.perf_counter() - started,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .packet import TCP, UDP
 
@@ -160,3 +160,11 @@ def attack_heavy_profile() -> TrafficProfile:
         {"http": 0.25, "dns": 0.10, "smtp": 0.05, "irc": 0.05,
          "blaster": 0.20, "synflood": 0.20, "scanprobe": 0.15},
     )
+
+
+#: Profile factories by name, as configs and fault-plan shifts name them.
+PROFILES: Dict[str, Callable[[], TrafficProfile]] = {
+    "mixed": mixed_profile,
+    "web_heavy": web_heavy_profile,
+    "attack_heavy": attack_heavy_profile,
+}

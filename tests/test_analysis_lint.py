@@ -282,96 +282,6 @@ class TestREP005MutableDefaults:
         assert result.ok
 
 
-class TestREP006DeprecatedEmulationAPI:
-    def test_direct_entrypoint_calls_flagged(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            """\
-            from repro.nids import emulate_edge, emulate_coordinated
-
-            def f(generator, sessions, modules, deployment):
-                edge = emulate_edge(generator, sessions, modules)
-                coord = emulate_coordinated(deployment, generator, sessions)
-                return edge, coord
-            """,
-        )
-        assert rule_ids(result) == ["REP006", "REP006"]
-        assert "deprecated wrapper" in result.violations[0].message
-        assert "run_emulation" in result.violations[0].message
-
-    def test_module_attribute_calls_flagged(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            """\
-            import repro.nids as nids
-            from repro import api
-
-            def f(generator, chunks, modules, deployment):
-                a = nids.emulate_edge_stream(generator, chunks, modules)
-                b = api.emulate_coordinated_stream(deployment, generator, chunks)
-                return a, b
-            """,
-        )
-        assert rule_ids(result) == ["REP006", "REP006"]
-
-    def test_legacy_shim_keywords_flagged(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            """\
-            from repro.nids.emulation import compare_deployments
-            from repro.nids.engine import BroInstance, BroMode
-
-            def f(deployment, generator, sessions, model):
-                instance = BroInstance(
-                    node="NYCM",
-                    modules=deployment.modules,
-                    mode=BroMode.UNMODIFIED,
-                    cost_model=model,
-                )
-                row = compare_deployments(
-                    deployment, generator, sessions, 1.0, cost_model=model
-                )
-                return instance, row
-            """,
-        )
-        assert rule_ids(result) == ["REP006", "REP006"]
-        assert "config=EmulationConfig(cost_model=...)" in result.violations[0].message
-
-    def test_new_surface_passes(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            """\
-            from repro.nids import Traffic, run_emulation
-            from repro.nids.engine import EmulationConfig
-
-            def f(generator, sessions, deployment, model):
-                config = EmulationConfig(cost_model=model, run_detectors=True)
-                return run_emulation(
-                    Traffic.materialized(generator, sessions),
-                    deployment,
-                    config=config,
-                )
-            """,
-        )
-        assert result.ok
-
-    def test_repnoqa_suppresses(self, tmp_path):
-        result = run_lint(
-            tmp_path,
-            """\
-            from repro.nids import emulate_edge
-
-            def f(generator, sessions, modules):
-                return emulate_edge(generator, sessions, modules)  # repnoqa: REP006 -- deprecation under test
-            """,
-        )
-        assert result.ok
-
-    def test_catalogued(self):
-        assert "REP006" in RULE_CATALOGUE
-        assert "run_emulation" in RULE_CATALOGUE["REP006"]
-
-
 class TestSuppressions:
     def test_line_suppression_with_rule_id(self, tmp_path):
         result = run_lint(

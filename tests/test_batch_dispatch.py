@@ -1,11 +1,10 @@
-"""Batch dispatch fast path: bit-identical to the scalar Fig. 3 path.
+"""Batch dispatch fast path: identical to the scalar Fig. 3 path.
 
-The vectorized engine (``decide_batch`` / ``sampled_modules_batch`` /
-``BroInstance(batch_dispatch=True)``) is an optimization, not a
-semantic change: every test here asserts *exact* equality with the
-per-session scalar procedure — same modules, same coordination units,
-bit-identical hash values, identical analyze verdicts, identical
-emulation reports.
+The vectorized dispatch (``CoordinatedDispatcher.batch_decisions``,
+which the default engine consumes) is an optimization, not a semantic
+change: every test here asserts *exact* equality with the per-session
+scalar procedure — same matched modules, identical analyze verdicts,
+identical emulation reports against the scalar engine.
 """
 
 import dataclasses
@@ -23,6 +22,7 @@ from repro.nids.engine import EmulationConfig
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from repro.traffic.batch import SessionBatch
 
 
 @pytest.fixture(scope="module")
@@ -36,28 +36,31 @@ def deployment_setup():
 
 
 class TestDispatcherEquivalence:
-    def test_decide_batch_matches_decide_session(self, deployment_setup):
-        """decide_batch == [decide_session(s) for s] field for field,
-        on every node of the deployment."""
+    def test_batch_decisions_match_decide_session(self, deployment_setup):
+        """batch_decisions agrees with decide_session on every node of
+        the deployment: the same modules match, and the same ones
+        analyze."""
         topo, _, sessions, deployment = deployment_setup
         for node in topo.node_names:
             dispatcher = deployment.dispatcher(node)
-            batch = dispatcher.decide_batch(sessions[:400])
-            for session, decisions in zip(sessions[:400], batch):
-                scalar = dispatcher.decide_session(session)
-                assert len(decisions) == len(scalar)
-                for got, want in zip(decisions, scalar):
-                    assert got.module is want.module
-                    assert got.unit == want.unit
-                    assert got.hash_value == want.hash_value  # bit-exact
-                    assert got.analyze == want.analyze
+            decisions = dispatcher.batch_decisions(SessionBatch(sessions[:400]))
+            for i, session in enumerate(sessions[:400]):
+                scalar = {d.module.name: d.analyze for d in dispatcher.decide_session(session)}
+                matched = {d.spec.name for d in decisions if d.match[i]}
+                assert matched == set(scalar)
+                for decision in decisions:
+                    if decision.match[i]:
+                        assert decision.analyze[i] == scalar[decision.spec.name]
+                    else:
+                        assert not decision.analyze[i]
 
-    def test_sampled_modules_batch_matches_should_analyze(self, deployment_setup):
+    def test_batch_decisions_match_should_analyze(self, deployment_setup):
         topo, _, sessions, deployment = deployment_setup
         for node in topo.node_names[:4]:
             dispatcher = deployment.dispatcher(node)
-            batch = dispatcher.sampled_modules_batch(sessions[:500])
-            for session, sampled in zip(sessions[:500], batch):
+            decisions = dispatcher.batch_decisions(SessionBatch(sessions[:500]))
+            for i, session in enumerate(sessions[:500]):
+                sampled = [d.spec for d in decisions if d.analyze[i]]
                 expected = [
                     spec
                     for spec in deployment.modules
@@ -78,19 +81,24 @@ class TestDispatcherEquivalence:
             resolver=deployment.resolver,
             hash_seed=deployment.hash_seed,
         )
-        warm_batch = warm.sampled_modules_batch(sessions[:300])
-        cold_batch = cold.sampled_modules_batch(sessions[:300])
-        assert warm_batch == cold_batch
+        batch = SessionBatch(sessions[:300])
+        for a, b in zip(warm.batch_decisions(batch), cold.batch_decisions(batch)):
+            assert a.spec is b.spec
+            assert np.array_equal(a.match, b.match)
+            assert np.array_equal(a.analyze, b.analyze)
+            assert np.array_equal(a.responsible, b.responsible)
 
     def test_empty_and_singleton_batches(self, deployment_setup):
         topo, _, sessions, deployment = deployment_setup
         dispatcher = deployment.dispatcher(topo.node_names[0])
-        assert dispatcher.decide_batch([]) == []
-        assert dispatcher.sampled_modules_batch([]) == []
-        single = dispatcher.decide_batch(sessions[:1])
-        assert len(single) == 1
-        scalar = dispatcher.decide_session(sessions[0])
-        assert [d.hash_value for d in single[0]] == [d.hash_value for d in scalar]
+        for decision in dispatcher.batch_decisions(SessionBatch([])):
+            assert len(decision.match) == len(decision.analyze) == 0
+            assert len(decision.responsible) == 0
+        single = dispatcher.batch_decisions(SessionBatch(sessions[:1]))
+        scalar = {d.module.name: d.analyze for d in dispatcher.decide_session(sessions[0])}
+        assert {d.spec.name for d in single if d.match[0]} == set(scalar)
+        for decision in single:
+            assert bool(decision.analyze[0]) == scalar.get(decision.spec.name, False)
 
     def test_full_manifest_batch_analyzes_all_matched(self, deployment_setup):
         _, _, sessions, deployment = deployment_setup
@@ -100,27 +108,24 @@ class TestDispatcherEquivalence:
             modules=STANDARD_MODULES,
             resolver=deployment.resolver,
         )
-        for decisions in dispatcher.decide_batch(sessions[:200]):
-            for decision in decisions:
-                assert decision.analyze
+        for decision in dispatcher.batch_decisions(SessionBatch(sessions[:200])):
+            assert np.array_equal(decision.analyze, decision.match)
 
 
 class TestEmulationEquivalence:
     def test_batch_emulation_report_identical_to_scalar(self, deployment_setup):
-        """Coordinated emulation with ``batch_dispatch=True`` produces
-        the exact report of the scalar path: same CPU, memory,
-        connection counts, per-module loads — on every node."""
+        """Coordinated emulation on the vectorized engine produces the
+        exact report of the scalar oracle: same CPU, memory, connection
+        counts, per-module loads — on every node."""
         topo, generator, sessions, deployment = deployment_setup
         # Fresh private hash caches so neither run warms the other.
         dep_a = dataclasses.replace(deployment, _shared_hash_cache={})
         dep_b = dataclasses.replace(deployment, _shared_hash_cache={})
         traffic = Traffic.materialized(generator, sessions)
         scalar = run_emulation(
-            traffic, dep_a, config=EmulationConfig(batch_dispatch=False)
+            traffic, dep_a, config=EmulationConfig(batch_engine=False)
         )
-        batch = run_emulation(
-            traffic, dep_b, config=EmulationConfig(batch_dispatch=True)
-        )
+        batch = run_emulation(traffic, dep_b, config=EmulationConfig())
         assert set(scalar.reports) == set(batch.reports)
         for node in scalar.reports:
             a, b = scalar.reports[node], batch.reports[node]

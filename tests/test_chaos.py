@@ -18,6 +18,7 @@ import pytest
 from repro.control.agent import Agent, AgentConfig
 from repro.control.bus import Bus, BusConfig
 from repro.control.chaos import (
+    COVERAGE_FLOOR,
     ChaosBus,
     ChaosConfig,
     ChaosEpochRecord,
@@ -31,7 +32,6 @@ from repro.control.chaos import (
 )
 from repro.control.controller import Controller, ControllerConfig, PushState
 from repro.control.epochs import EpochRecord
-from repro.control.scenarios import COVERAGE_FLOOR
 from repro.core.manifest import NodeManifest
 from repro.core.manifest_io import manifest_diff, manifest_to_dict
 from repro.hashing.ranges import HashRange
@@ -114,9 +114,16 @@ class TestFaultPlan:
             events=(
                 FaultEvent(kind="controller_down", start=1.0, end=4.0),
                 FaultEvent(kind="loss_burst", start=2.0, end=6.0, rate=0.5),
+                # A traffic shift is workload, not a fault: it never
+                # delays the heal time.
+                FaultEvent(kind="shift", start=3.0, end=9.0,
+                           profile="web_heavy"),
             ),
         )
         assert plan.heal_time == 6.0
+        assert plan.profile_at(2.0, "mixed") == "mixed"
+        assert plan.profile_at(3.0, "mixed") == "web_heavy"
+        assert plan.profile_at(9.0, "mixed") == "mixed"
         assert FaultPlan(name="empty", events=()).heal_time == 0.0
 
     def test_channel_and_process_selectors(self):
@@ -248,6 +255,22 @@ class TestChaosBus:
         bus.send("a", "b", "k", "held", 1, now=0.1)
         bus.send("a", "b", "k", "later", 1, now=0.6)  # window closed
         assert [m.payload for m in bus.deliver("b", 5.0)] == ["later", "held"]
+
+    def test_empty_plan_admits_exactly_what_bus_admits(self):
+        config = BusConfig(latency=0.05, jitter=0.02, loss_rate=0.3, seed=4)
+        plain = Bus(config)
+        chaos = ChaosBus(FaultPlan(name="none", events=()), config, chaos_seed=4)
+        rng_state = chaos._chaos_rng.getstate()
+        for bus in (plain, chaos):
+            for i in range(100):
+                bus.send("a", "b", "k", i, 1, now=i * 0.01)
+        plain_out, chaos_out = (
+            [(m.payload, m.deliver_at) for m in bus.deliver("b", 10.0)]
+            for bus in (plain, chaos)
+        )
+        assert plain_out == chaos_out
+        assert plain.stats.to_dict() == chaos.stats.to_dict()
+        assert chaos._chaos_rng.getstate() == rng_state
 
     def test_chaos_rng_is_seed_deterministic(self):
         events = [FaultEvent(kind="loss_burst", start=0.0, end=10.0, rate=0.5)]

@@ -19,10 +19,10 @@ from repro.control.epochs import (
     union_length,
 )
 from repro.control.failure import HeartbeatMonitor
+from repro.control.chaos import FaultEvent, run_chaos
 from repro.control.scenarios import (
-    ScenarioConfig,
-    ScenarioEvent,
-    run_scenario,
+    scripted_config,
+    scripted_violations,
     standard_scenario,
 )
 from repro.core.manifest import NodeManifest
@@ -277,14 +277,12 @@ class TestEpochHelpers:
 
 @pytest.fixture(scope="module")
 def steady_result():
-    return run_scenario(
-        ScenarioConfig(epochs=10, base_sessions=400, seed=11)
-    )
+    return run_chaos(scripted_config(epochs=10, base_sessions=400, seed=11))
 
 
 @pytest.fixture(scope="module")
 def standard_result():
-    return run_scenario(
+    return run_chaos(
         standard_scenario(
             shift_epoch=3,
             fail_epoch=5,
@@ -298,13 +296,13 @@ def standard_result():
 
 class TestSteadyScenario:
     def test_every_epoch_converges_with_full_coverage(self, steady_result):
-        for record in steady_result.records:
+        for record in steady_result.epoch_records:
             assert record.converged
             assert not record.in_transition
             assert record.coverage >= 0.99
 
     def test_bootstrap_then_delta_distribution(self, steady_result):
-        records = steady_result.records
+        records = steady_result.epoch_records
         assert records[0].resolved == "bootstrap"
         assert records[0].pushes_full > 0
         later = [r for r in records[1:] if r.push_bytes > 0]
@@ -315,7 +313,7 @@ class TestSteadyScenario:
             assert record.push_bytes < record.full_equivalent_bytes
 
     def test_periodic_resolves_happen(self, steady_result):
-        reasons = [r.resolved for r in steady_result.records]
+        reasons = [r.resolved for r in steady_result.epoch_records]
         assert "periodic" in reasons
 
 
@@ -325,7 +323,7 @@ class TestFailureScenario:
         # t=4.25ish, so the 2.2-epoch timeout trips at the epoch-7 sweep.
         assert standard_result.detection_epoch == {"NYCM": 7}
         detected = {
-            r.epoch for r in standard_result.records if r.failed_nodes
+            r.epoch for r in standard_result.epoch_records if r.failed_nodes
         }
         assert min(detected) == 7
 
@@ -338,23 +336,24 @@ class TestFailureScenario:
         """Between the crash and the repair the dead node's ranges are
         uncovered — those epochs must be flagged as transition, not
         count against steady-state coverage."""
-        by_epoch = {r.epoch: r for r in standard_result.records}
+        by_epoch = {r.epoch: r for r in standard_result.epoch_records}
         assert by_epoch[5].in_transition
         assert by_epoch[6].in_transition
 
     def test_recovery_reintegrates(self, standard_result):
         assert standard_result.reintegration_epoch["NYCM"] >= 9
-        final = standard_result.records[-1]
+        final = standard_result.epoch_records[-1]
         assert final.failed_nodes == ()
         assert final.converged
         assert final.coverage >= 0.99
 
     def test_acceptance_criteria_hold(self, standard_result):
         assert standard_result.check_acceptance() == []
+        assert scripted_violations(standard_result) == []
 
     def test_repair_is_delta_sized(self, standard_result):
         [failure] = [
-            r for r in standard_result.records if r.resolved == "failure"
+            r for r in standard_result.epoch_records if r.resolved == "failure"
         ]
         assert failure.pushes_full == 0
         assert failure.pushes_delta > 0
@@ -364,8 +363,8 @@ class TestFailureScenario:
 
 class TestLossyBus:
     def test_retries_converge_under_loss(self):
-        result = run_scenario(
-            ScenarioConfig(
+        result = run_chaos(
+            scripted_config(
                 epochs=10,
                 base_sessions=300,
                 seed=3,
@@ -381,7 +380,7 @@ class TestLossyBus:
         )
         assert result.controller_stats.retries > 0
         assert result.bus_stats.dropped > 0
-        final = result.records[-1]
+        final = result.epoch_records[-1]
         assert final.converged
         assert final.coverage >= 0.99
 
@@ -392,13 +391,13 @@ class TestLossyBus:
 class TestScenarioEvents:
     def test_event_validation(self):
         with pytest.raises(ValueError):
-            ScenarioEvent(epoch=1, kind="explode")
+            FaultEvent(kind="explode", start=1.0, end=2.0)
         with pytest.raises(ValueError):
-            ScenarioEvent(epoch=1, kind="fail")
+            FaultEvent(kind="crash", start=1.0, end=2.0)
         with pytest.raises(ValueError):
-            ScenarioEvent(epoch=1, kind="shift", profile="nope")
+            FaultEvent(kind="shift", start=1.0, end=2.0, profile="nope")
 
     def test_traffic_shift_triggers_resolve(self, standard_result):
-        shifted = standard_result.records[3]
+        shifted = standard_result.epoch_records[3]
         assert shifted.resolved in ("drift", "periodic")
         assert shifted.config_version >= 1

@@ -1,4 +1,5 @@
-"""EmulationConfig, deprecation shims, registry wiring, and the api facade."""
+"""EmulationConfig, the run_emulation entry point, registry wiring, and
+the api facade."""
 
 import warnings
 
@@ -8,8 +9,6 @@ from repro.core.nids_deployment import plan_deployment
 from repro.nids.emulation import (
     Traffic,
     compare_deployments,
-    emulate_coordinated,  # repnoqa: REP006 -- deprecation path under test
-    emulate_edge,  # repnoqa: REP006 -- deprecation path under test
     run_emulation,
 )
 from repro.nids.engine import BroInstance, BroMode, EmulationConfig
@@ -38,7 +37,7 @@ class TestEmulationConfig:
         assert config.cost_model is DEFAULT_COST_MODEL
         assert config.run_detectors is False
         assert config.fine_grained is False
-        assert config.batch_dispatch is True
+        assert config.batch_engine is True
         assert config.registry is NULL_REGISTRY
 
     def test_frozen(self):
@@ -46,7 +45,7 @@ class TestEmulationConfig:
             EmulationConfig().run_detectors = True
 
     def test_instance_adopts_config(self):
-        config = EmulationConfig(run_detectors=True, batch_dispatch=False)
+        config = EmulationConfig(run_detectors=True, batch_engine=False)
         instance = BroInstance(
             node="NYCM",
             modules=STANDARD_MODULES[:2],
@@ -54,74 +53,17 @@ class TestEmulationConfig:
             config=config,
         )
         assert instance.config is config
-        assert instance.batch_dispatch is False
+        assert instance.batch_engine is False
         assert instance.registry is NULL_REGISTRY
 
 
-class TestDeprecationShims:
-    def test_legacy_kwargs_warn_and_still_work(self, world):
-        generator, sessions, modules, _ = world
-        with pytest.warns(DeprecationWarning, match="cost_model"):
-            usage = emulate_edge(generator, sessions, modules, cost_model=DEFAULT_COST_MODEL)  # repnoqa: REP006
-        assert usage.reports
-
-    def test_wrapper_entrypoints_warn(self, world):
-        generator, sessions, modules, deployment = world
-        with pytest.warns(DeprecationWarning, match="emulate_edge is deprecated"):
-            emulate_edge(generator, sessions, modules)  # repnoqa: REP006
-        with pytest.warns(
-            DeprecationWarning, match="emulate_coordinated is deprecated"
-        ):
-            emulate_coordinated(deployment, generator, sessions)  # repnoqa: REP006
-
-    def test_wrappers_match_run_emulation_exactly(self, world):
-        generator, sessions, modules, deployment = world
-        traffic = Traffic.materialized(generator, sessions)
-        with pytest.warns(DeprecationWarning):
-            legacy_edge = emulate_edge(generator, sessions, modules)  # repnoqa: REP006
-        with pytest.warns(DeprecationWarning):
-            legacy_coord = emulate_coordinated(deployment, generator, sessions)  # repnoqa: REP006
-        assert legacy_edge.to_dict() == run_emulation(traffic, modules).to_dict()
-        assert (
-            legacy_coord.to_dict() == run_emulation(traffic, deployment).to_dict()
-        )
-
-    def test_legacy_kwargs_on_coordinated(self, world):
-        generator, sessions, _, deployment = world
-        with pytest.warns(DeprecationWarning, match="batch_dispatch"):
-            usage = emulate_coordinated(  # repnoqa: REP006
-                deployment, generator, sessions, batch_dispatch=False
-            )
-        assert usage.reports
-
-    def test_legacy_kwargs_on_instance(self):
-        with pytest.warns(DeprecationWarning, match="run_detectors"):
-            instance = BroInstance(
-                node="NYCM",
-                modules=STANDARD_MODULES[:2],
-                mode=BroMode.UNMODIFIED,
-                run_detectors=True,  # repnoqa: REP006
-            )
-        assert instance.config.run_detectors is True
-
+class TestRunEmulationEntryPoint:
     def test_run_emulation_does_not_warn(self, world):
         generator, sessions, modules, _ = world
         traffic = Traffic.materialized(generator, sessions)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_emulation(traffic, modules, config=EmulationConfig())
-
-    def test_mixing_config_and_legacy_raises(self, world):
-        generator, sessions, modules, _ = world
-        with pytest.raises(TypeError, match="not both"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            emulate_edge(  # repnoqa: REP006
-                generator,
-                sessions,
-                modules,
-                cost_model=DEFAULT_COST_MODEL,
-                config=EmulationConfig(),
-            )
 
     def test_coordinated_rejects_unmodified_mode(self, world):
         generator, sessions, _, deployment = world
@@ -213,9 +155,10 @@ class TestApiFacade:
             "run_emulation",
             "Traffic",
             "ExecutionPolicy",
-            "emulate_coordinated",
             "EmulationConfig",
-            "run_scenario",
+            "run_chaos",
+            "standard_scenario",
+            "scripted_violations",
             "MetricsRegistry",
             "use_registry",
             "MetricsSnapshotReport",
@@ -225,9 +168,9 @@ class TestApiFacade:
 
     def test_facade_objects_are_the_canonical_ones(self):
         from repro import api
-        from repro.control.scenarios import run_scenario
+        from repro.control.chaos import run_chaos
         from repro.obs import MetricsRegistry as CanonicalRegistry
 
-        assert api.run_scenario is run_scenario
+        assert api.run_chaos is run_chaos
         assert api.MetricsRegistry is CanonicalRegistry
         assert api.EmulationConfig is EmulationConfig

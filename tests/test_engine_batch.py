@@ -21,7 +21,7 @@ from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
 
-SCALAR = EmulationConfig(batch_engine=False, batch_dispatch=False)
+SCALAR = EmulationConfig(batch_engine=False)
 BATCH = EmulationConfig(batch_engine=True)
 
 

@@ -138,7 +138,7 @@ def test_fuzz_scalar_vs_batch_engine_decisions(seed, num_nodes, fine_grained, mo
     config = EmulationConfig(fine_grained=fine_grained)
     scalar_instance = BroInstance(
         node, STANDARD_MODULES, mode, dispatcher,
-        config=dataclasses.replace(config, batch_engine=False, batch_dispatch=False),
+        config=dataclasses.replace(config, batch_engine=False),
     )
     batch_instance = BroInstance(
         node, STANDARD_MODULES, mode, dispatcher, config=config

@@ -184,14 +184,14 @@ class TestReportProtocol:
         assert len(names) == 7
 
     def test_control_epochs_report_matches_wrapper(self):
-        from repro.control import ScenarioConfig, run_scenario
+        from repro.control import run_chaos, scripted_config
 
-        result = run_scenario(
-            ScenarioConfig(epochs=4, base_sessions=200, seed=5)
-        )
-        report = reporting.ControlEpochsReport(result.records)
+        records = run_chaos(
+            scripted_config(epochs=4, base_sessions=200, seed=5)
+        ).epoch_records
+        report = reporting.ControlEpochsReport(records)
         assert report.to_string("csv") == reporting.to_string(
-            reporting.control_epochs_csv, result.records
+            reporting.control_epochs_csv, records
         )
         parsed = _parse(report.to_string("csv"))
         assert len(parsed) == 5  # header + 4 epochs

@@ -20,8 +20,9 @@ import pytest
 import repro.sweep.cache as sweep_cache
 from repro.cli import main as repro_main
 from repro.control.chaos import ChaosConfig, build_plan, run_chaos
-from repro.control.scenarios import ScenarioConfig, run_scenario
+from repro.control.scenarios import standard_scenario
 from repro.obs import MetricsRegistry
+from repro.sweep.worker import build_cell_config
 from repro.sweep import (
     ArtifactCache,
     CellResult,
@@ -224,12 +225,34 @@ class TestArtifactCache:
         assert missing == [missing_cell]
 
 
+class TestCellConfig:
+    def test_steady_chaos_cell_has_constant_volume(self):
+        """Chaos cells take the whole dynamics preset, so a ``steady``
+        cell draws the same session count every epoch."""
+        cell = SweepCell(
+            plan="controller-outage", dynamics="steady", epochs=14,
+            base_sessions=60,
+        )
+        config = build_cell_config(cell)
+        assert config.diurnal_amplitude == 0.0
+        assert config.burst_probability == 0.0
+        result = run_chaos(config)
+        assert {r.sessions for r in result.epoch_records} == {60}
+
+
 class TestResultSerialization:
     """Results cross the worker/cache boundary: JSON and pickle safe."""
 
     def test_scenario_result_round_trips(self):
-        result = run_scenario(
-            ScenarioConfig(epochs=6, base_sessions=80, seed=3)
+        result = run_chaos(
+            standard_scenario(
+                shift_epoch=1,
+                fail_epoch=2,
+                recover_epoch=4,
+                epochs=6,
+                base_sessions=80,
+                seed=3,
+            )
         )
         as_dict = result.to_dict()
         rebuilt = type(result).from_dict(json.loads(json.dumps(as_dict)))
@@ -371,11 +394,13 @@ class TestReport:
             assert not name.startswith("sweep_")
 
     def test_violations_listed_per_cell(self, tmp_path):
-        # geant under controller-outage is a known coverage-floor
-        # stress case — use it to exercise the violation summary.
+        # The scripted schedule on geant under bursty traffic is a known
+        # redistribution stress case (a steady chaos cell no longer is:
+        # it now really runs at constant volume) — use it to exercise
+        # the violation summary.
         spec = SweepSpec(
             name="stress", topologies=("geant",),
-            plans=("controller-outage",), dynamics=("steady",),
+            plans=("none",), dynamics=("bursty",),
             seeds=(0,), epochs=16, base_sessions=120,
         )
         run = run_sweep(spec, jobs=1, cache_dir=str(tmp_path))
